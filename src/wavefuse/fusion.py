@@ -1,6 +1,6 @@
 """Coefficient-level fusion of two wavelet decompositions.
 
-Two same-shape decompositions are merged grid by grid with a per-coefficient
+Two same-shape decompositions are merged coefficient by coefficient with a
 selection rule, then the merged tree is synthesized back into an image. The
 default policy keeps the larger-magnitude approximation coefficient and the
 smaller-magnitude detail coefficient; where magnitudes tie, the first
@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .wavelet import DecompositionTree, DetailTriple, WaveletKind, decompose, reconstruct
+from .wavelet import DecompositionTree, WaveletKind, decompose, reconstruct
 
 
 class FusionRule(str, Enum):
@@ -53,38 +53,30 @@ def fuse_coeffs(a: np.ndarray, b: np.ndarray, rule: FusionRule) -> np.ndarray:
 def fuse_trees(
     t: DecompositionTree, v: DecompositionTree, policy: FusionPolicy | None = None
 ) -> DecompositionTree:
-    """Fuse two decompositions of identical wavelet, depth, and grid dims."""
+    """Fuse two decompositions of identical wavelet, depth, and grid dims.
+
+    The detail rule runs over the whole coefficient array at once, then the
+    approximation rule overwrites the deepest approximation block.
+    """
     policy = policy or FusionPolicy()
     if t.wavelet != v.wavelet:
         raise DataError(f"wavelet mismatch: {t.wavelet.value} vs {v.wavelet.value}")
     if t.levels != v.levels:
         raise DataError(f"level mismatch: {t.levels} vs {v.levels}")
-    if t.deepest_approx.shape != v.deepest_approx.shape:
-        raise DataError(
-            f"approximation dims differ: {t.deepest_approx.shape} vs "
-            f"{v.deepest_approx.shape}"
-        )
-    details = []
-    for lt, lv in zip(t.details, v.details):
-        if lt.dims != lv.dims:
-            raise DataError(f"detail dims differ: {lt.dims} vs {lv.dims}")
-        details.append(
-            DetailTriple(
-                cH=fuse_coeffs(lt.cH, lv.cH, policy.detail_rule),
-                cV=fuse_coeffs(lt.cV, lv.cV, policy.detail_rule),
-                cD=fuse_coeffs(lt.cD, lv.cD, policy.detail_rule),
-            )
-        )
     if t.original_dims != v.original_dims:
         raise DataError(
             f"original dims differ: {t.original_dims} vs {v.original_dims}"
         )
-    return DecompositionTree(
+    fused = DecompositionTree(
         wavelet=t.wavelet,
-        deepest_approx=fuse_coeffs(t.deepest_approx, v.deepest_approx, policy.approx_rule),
-        details=details,
+        coeffs=fuse_coeffs(t.coeffs, v.coeffs, policy.detail_rule),
+        levels=t.levels,
         original_dims=t.original_dims,
     )
+    fused.deepest_approx[...] = fuse_coeffs(
+        t.deepest_approx, v.deepest_approx, policy.approx_rule
+    )
+    return fused
 
 
 def fuse_images(

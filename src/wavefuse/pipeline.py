@@ -430,6 +430,8 @@ def load_model(path) -> PipelineModel:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"model file {path} must hold a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(

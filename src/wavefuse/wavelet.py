@@ -6,23 +6,32 @@ Conventions, fixed so results are bit-reproducible:
   keeps the transform exactly orthogonal; perfect reconstruction and energy
   conservation then hold to rounding error rather than approximately.
 - 1D analysis is circular convolution followed by downsampling that keeps
-  even output indices: y[n] = sum_k h[k] * x[(2n - k) mod N].
-- 2D analysis filters rows first (along each row, i.e. the column axis),
-  then columns. Subbands: cA = (lo, lo), cH = (lo rows, hi cols), cV =
-  (hi rows, lo cols), cD = (hi, hi); cH carries horizontal-edge detail.
-- Synthesis is the exact adjoint of analysis (equivalently: upsample by 2,
-  filter with the time-reversed reconstruction filters, sum branches).
+  even output indices: y[n] = sum_k h[k] * x[(2n - k) mod N]. On a length-n
+  axis both filters together form one n x n orthogonal operator A_n, the
+  low-pass rows over the high-pass rows.
+- 2D analysis of an r x c block X is A_r @ X @ A_c.T. Its top-left quarter
+  holds cA (lo, lo), the top-right cV (lo down the columns, hi along the
+  rows), the bottom-left cH (hi down the columns, lo along the rows; it
+  carries horizontal-edge detail) and the bottom-right cD (hi, hi).
+- A tree is one padded R x C array in Mallat's layout (Mallat 1989, "A
+  theory for multiresolution signal decomposition"): level l transforms the
+  top-left (R >> l-1, C >> l-1) block in place, so every band is a view.
+- Synthesis is A_r.T @ Y @ A_c, the transpose of analysis and, since A_n is
+  orthogonal, its exact inverse.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError
 from .imgio import crop, pad_to_block
@@ -35,12 +44,10 @@ class WaveletKind(str, Enum):
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Decomposition/reconstruction filter quadruple of an orthogonal wavelet."""
+    """Decomposition filter pair of an orthogonal wavelet."""
 
     lo_d: np.ndarray
     hi_d: np.ndarray
-    lo_r: np.ndarray
-    hi_r: np.ndarray
 
     @property
     def length(self) -> int:
@@ -58,75 +65,55 @@ def filter_bank(kind: WaveletKind) -> FilterBank:
     """Return the filter bank for a wavelet kind.
 
     The high-pass is the quadrature mirror of the low-pass,
-    hi_d[k] = (-1)^k * lo_d[L-1-k], and the reconstruction filters are the
-    time-reverses of the decomposition filters.
+    hi_d[k] = (-1)^k * lo_d[L-1-k].
     """
     kind = WaveletKind(kind)
     lo_d = _HAAR_LO if kind is WaveletKind.HAAR else _DB2_LO
     n = lo_d.size
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    hi_d = signs * lo_d[::-1]
-    return FilterBank(lo_d=lo_d, hi_d=hi_d, lo_r=lo_d[::-1].copy(), hi_r=hi_d[::-1].copy())
+    return FilterBank(lo_d=lo_d, hi_d=signs * lo_d[::-1])
 
 
-def _analyze_axis(a, lo, hi, axis):
-    """Circular convolve with both filters along one axis, keep even phases."""
-    n = a.shape[axis]
-    if n % 2:
-        raise DataError(f"axis {axis} has odd length {n}; pad to even dims first")
-    take = [slice(None), slice(None)]
-    take[axis] = slice(0, None, 2)
-    take = tuple(take)
-    shape = list(a.shape)
-    shape[axis] //= 2
-    out_lo = np.zeros(shape)
-    out_hi = np.zeros(shape)
-    for k in range(lo.size):
-        evens = np.roll(a, k, axis=axis)[take]
-        out_lo += lo[k] * evens
-        out_hi += hi[k] * evens
-    return out_lo, out_hi
+@functools.lru_cache(maxsize=64)
+def _operator(kind: WaveletKind, n: int) -> sparse.csr_matrix:
+    """The n x n analysis operator A_n: row i < n/2 is lo_d, row n/2 + i hi_d.
+
+    Both rows hold their taps at columns (2i - k) mod n. The matrix is built
+    from COO triplets with duplicates summed, so taps that wrap onto the
+    same column (db2 at n = 2) add up as circular convolution says.
+    """
+    fb = filter_bank(kind)
+    half = n // 2
+    out = np.repeat(np.arange(half), fb.length)
+    cols = (2 * out - np.tile(np.arange(fb.length), half)) % n
+    values = np.concatenate([np.tile(fb.lo_d, half), np.tile(fb.hi_d, half)])
+    rows = np.concatenate([out, out + half])
+    return sparse.csr_matrix((values, (rows, np.tile(cols, 2))), shape=(n, n))
 
 
-def _synthesize_axis(c_lo, c_hi, lo, hi, axis):
-    """Adjoint of _analyze_axis: scatter to even phases, roll back, sum taps."""
-    shape = list(c_lo.shape)
-    shape[axis] *= 2
-    put = [slice(None), slice(None)]
-    put[axis] = slice(0, None, 2)
-    put = tuple(put)
-    out = np.zeros(shape)
-    branch = np.zeros(shape)
-    for k in range(lo.size):
-        branch[put] = lo[k] * c_lo + hi[k] * c_hi
-        out += np.roll(branch, -k, axis=axis)
-    return out
+def _sweep(coeffs: np.ndarray, kind: WaveletKind, levels: int, synthesis: bool) -> None:
+    """Transform the level blocks of a Mallat-layout array in place.
+
+    Analysis maps each block X to A_r @ X @ A_c.T, finest level first;
+    synthesis maps it to A_r.T @ X @ A_c, coarsest level first.
+    """
+    rows, cols = coeffs.shape
+    for level in reversed(range(levels)) if synthesis else range(levels):
+        block = coeffs[: rows >> level, : cols >> level]
+        a_r, a_c = (_operator(kind, n) for n in block.shape)
+        if synthesis:
+            a_r, a_c = a_r.T, a_c.T
+        # Two sparse @ dense products, as scipy's dense @ sparse path is several
+        # times slower on small blocks. The explicit C-order copy frees the
+        # first product before the second runs, where scipy's own copy of a
+        # transposed operand would keep three block-sized arrays alive.
+        partial = np.ascontiguousarray((a_r @ block).T)
+        block[...] = (a_c @ partial).T
 
 
-@dataclass
-class SubbandSet:
-    """One decomposition level: approximation plus three detail grids."""
+class DetailTriple(NamedTuple):
+    """One level's detail bands, as views into the tree's coefficient array."""
 
-    cA: np.ndarray
-    cH: np.ndarray
-    cV: np.ndarray
-    cD: np.ndarray
-
-    def __post_init__(self):
-        dims = {g.shape for g in (self.cA, self.cH, self.cV, self.cD)}
-        if len(dims) != 1:
-            raise DataError(f"mismatched subband dims: {sorted(dims)}")
-        for name, g in zip("cA cH cV cD".split(), (self.cA, self.cH, self.cV, self.cD)):
-            if not np.all(np.isfinite(g)):
-                raise DataError(f"non-finite entries in {name}")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.cA.shape
-
-
-@dataclass
-class DetailTriple:
     cH: np.ndarray
     cV: np.ndarray
     cD: np.ndarray
@@ -141,50 +128,58 @@ class DetailTriple:
 
 @dataclass
 class DecompositionTree:
-    """Multi-level decomposition: deepest approximation plus per-level details.
+    """Multi-level decomposition: one padded coefficient array in Mallat layout.
 
     ``details[0]`` is the finest level (level 1), ``details[-1]`` the
-    coarsest (level L). ``original_dims`` are the image dims before padding,
-    used by :func:`reconstruct` to crop the synthesized image.
+    coarsest (level L); they and ``deepest_approx`` are views into
+    ``coeffs``. ``original_dims`` are the image dims before padding, used by
+    :func:`reconstruct` to crop the synthesized image.
     """
 
     wavelet: WaveletKind
-    deepest_approx: np.ndarray
-    details: list[DetailTriple] = field(default_factory=list)
-    original_dims: tuple[int, int] = (0, 0)
+    coeffs: np.ndarray
+    levels: int
+    original_dims: tuple[int, int]
+
+    def __post_init__(self):
+        # float64 throughout: the transforms overwrite blocks in place
+        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        shape = self.coeffs.shape
+        if (
+            self.coeffs.ndim != 2
+            or self.levels < 1
+            or shape[0] % 2**self.levels
+            or shape[1] % 2**self.levels
+            or self.original_dims[0] > shape[0]
+            or self.original_dims[1] > shape[1]
+        ):
+            raise DataError(
+                f"inconsistent tree: coefficient dims {shape} must be 2-D, divisible "
+                f"by 2^{self.levels} and hold the original dims {self.original_dims}"
+            )
 
     @property
-    def levels(self) -> int:
-        return len(self.details)
+    def deepest_approx(self) -> np.ndarray:
+        rows, cols = self.coeffs.shape
+        return self.coeffs[: rows >> self.levels, : cols >> self.levels]
+
+    @property
+    def details(self) -> list[DetailTriple]:
+        a, out = self.coeffs, []
+        for level in range(1, self.levels + 1):
+            r, c = a.shape[0] >> level, a.shape[1] >> level
+            # cH bottom left, cV top right, cD bottom right of the level's block
+            out.append(DetailTriple(a[r : 2 * r, :c], a[:r, c : 2 * c], a[r : 2 * r, c : 2 * c]))
+        return out
 
     def coefficient_count(self) -> int:
-        return self.deepest_approx.size + sum(
-            g.size for d in self.details for g in d.grids()
-        )
-
-
-def dwt2(img: np.ndarray, kind: WaveletKind) -> SubbandSet:
-    """Single-level 2D analysis. Requires even dims (caller pads first)."""
-    img = np.asarray(img, dtype=np.float64)
-    fb = filter_bank(kind)
-    lo_x, hi_x = _analyze_axis(img, fb.lo_d, fb.hi_d, axis=1)
-    cA, cH = _analyze_axis(lo_x, fb.lo_d, fb.hi_d, axis=0)
-    cV, cD = _analyze_axis(hi_x, fb.lo_d, fb.hi_d, axis=0)
-    return SubbandSet(cA=cA, cH=cH, cV=cV, cD=cD)
-
-
-def idwt2(sb: SubbandSet, kind: WaveletKind) -> np.ndarray:
-    """Single-level 2D synthesis, the exact inverse of :func:`dwt2`."""
-    fb = filter_bank(kind)
-    lo_x = _synthesize_axis(sb.cA, sb.cH, fb.lo_d, fb.hi_d, axis=0)
-    hi_x = _synthesize_axis(sb.cV, sb.cD, fb.lo_d, fb.hi_d, axis=0)
-    return _synthesize_axis(lo_x, hi_x, fb.lo_d, fb.hi_d, axis=1)
+        return self.coeffs.size
 
 
 def decompose(
     img: np.ndarray, kind: WaveletKind, levels: int, pad: bool = True
 ) -> DecompositionTree:
-    """Iterate dwt2 on successive approximations down to ``levels``.
+    """Analyse successive top-left blocks in place down to ``levels``.
 
     With ``pad=True`` (default) the image is first padded by edge
     replication so its dims divide 2^levels; the pre-padding dims are
@@ -194,46 +189,21 @@ def decompose(
     if levels < 1:
         raise DataError(f"levels must be >= 1, got {levels}")
     img = np.asarray(img, dtype=np.float64)
-    block = 2**levels
-    if pad:
-        padded, original_dims = pad_to_block(img, block)
-    else:
-        if img.shape[0] % block or img.shape[1] % block:
-            raise DataError(
-                f"dims {img.shape} not divisible by 2^{levels} = {block}"
-            )
-        padded, original_dims = img, img.shape
-    kind = WaveletKind(kind)
-    details: list[DetailTriple] = []
-    approx = padded
-    for _ in range(levels):
-        sb = dwt2(approx, kind)
-        details.append(DetailTriple(cH=sb.cH, cV=sb.cV, cD=sb.cD))
-        approx = sb.cA
-    return DecompositionTree(
-        wavelet=kind,
-        deepest_approx=approx,
-        details=details,
-        original_dims=original_dims,
-    )
+    if not np.isfinite(img).all():
+        raise DataError("non-finite entries in image")
+    padded, original_dims = pad_to_block(img, 2**levels) if pad else (img, img.shape)
+    # the transform runs in place, so never on the caller's array
+    coeffs = padded.copy() if padded is img else padded
+    tree = DecompositionTree(WaveletKind(kind), coeffs, levels, original_dims)
+    _sweep(tree.coeffs, tree.wavelet, levels, synthesis=False)
+    return tree
 
 
 def reconstruct(tree: DecompositionTree) -> np.ndarray:
     """Invert :func:`decompose`: synthesize level by level, crop to original dims."""
-    approx = tree.deepest_approx
-    for det in reversed(tree.details):
-        if det.dims != approx.shape:
-            raise DataError(
-                f"inconsistent tree dims: approx {approx.shape} vs details {det.dims}"
-            )
-        approx = idwt2(SubbandSet(cA=approx, cH=det.cH, cV=det.cV, cD=det.cD), tree.wavelet)
-    rows, cols = tree.original_dims
-    if rows > approx.shape[0] or cols > approx.shape[1]:
-        raise DataError(
-            f"inconsistent tree dims: original {tree.original_dims} exceeds "
-            f"synthesized {approx.shape}"
-        )
-    return crop(approx, tree.original_dims)
+    coeffs = tree.coeffs.copy()
+    _sweep(coeffs, tree.wavelet, tree.levels, synthesis=True)
+    return crop(coeffs, tree.original_dims)
 
 
 def export_tree(tree: DecompositionTree, out_dir) -> Path:

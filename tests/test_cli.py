@@ -155,6 +155,13 @@ class TestTrainEvaluate:
                      "--model", str(tmp_path / "missing.json"),
                      "--report", str(tmp_path / "r.json")]) == 2
 
+    def test_non_object_model_file_is_data_error(self, dataset, tmp_path, capsys):
+        model = tmp_path / "list.json"
+        model.write_text("[1, 2]")
+        assert main(["evaluate", "--data", str(dataset), "--model", str(model),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_bad_split_fraction_is_data_error(self, dataset, tmp_path, capsys):
         assert main(["train", "--data", str(dataset), "--split", "1.0",
                      "--model", str(tmp_path / "m.json")]) == 2
@@ -174,6 +181,19 @@ class TestTrainEvaluate:
 
 
 class TestExitCodeMapping:
+    @pytest.mark.parametrize("command", ["evaluate", "fuse"])
+    def test_directory_as_input_file_is_data_error(self, command, dataset, pair, tmp_path,
+                                                   capsys):
+        _, v_path = pair
+        argv = {
+            "evaluate": ["evaluate", "--data", str(dataset), "--model", str(tmp_path),
+                         "--report", str(tmp_path / "r.json")],
+            "fuse": ["fuse", "--thermal", str(tmp_path), "--visual", str(v_path),
+                     "--out", str(tmp_path / "f.pgm")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_numeric_error_maps_to_3(self, monkeypatch, tmp_path, capsys):
         import wavefuse.cli as cli
 

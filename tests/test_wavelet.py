@@ -16,13 +16,10 @@ import pytest
 from wavefuse.errors import DataError
 from wavefuse.wavelet import (
     DecompositionTree,
-    SubbandSet,
     WaveletKind,
     decompose,
-    dwt2,
     export_tree,
     filter_bank,
-    idwt2,
     reconstruct,
 )
 
@@ -81,8 +78,6 @@ class TestFilterBank:
         assert abs((fb.lo_d**2).sum() - 1.0) <= 1e-12
         signs = (-1.0) ** np.arange(n)
         np.testing.assert_allclose(fb.hi_d, signs * fb.lo_d[::-1], atol=1e-15)
-        np.testing.assert_array_equal(fb.lo_r, fb.lo_d[::-1])
-        np.testing.assert_array_equal(fb.hi_r, fb.hi_d[::-1])
 
     def test_db2_extra_vanishing_moment(self):
         fb = filter_bank(WaveletKind.DB2)
@@ -99,19 +94,33 @@ class TestFilterBank:
             assert abs(np.dot(padded, np.roll(padded, shift))) <= 1e-12
 
 
+def dwt2(img, kind):
+    """One analysis level without padding: the tree's bands are the subbands."""
+    return decompose(img, kind, 1, pad=False)
+
+
+def single_band_tree(dims, kind, band, value):
+    """A one-level tree of zeros except one band, written through its view."""
+    tree = decompose(np.zeros(dims), kind, 1, pad=False)
+    grid = tree.deepest_approx if band == "cA" else getattr(tree.details[0], band)
+    grid[...] = value
+    return tree
+
+
 class TestDwt2:
     def test_constant_image(self):
-        sb = dwt2(np.ones((2, 2)), WaveletKind.HAAR)
-        np.testing.assert_allclose(sb.cA, [[2.0]], atol=1e-12)
-        for grid in (sb.cH, sb.cV, sb.cD):
+        tree = dwt2(np.ones((2, 2)), WaveletKind.HAAR)
+        np.testing.assert_allclose(tree.deepest_approx, [[2.0]], atol=1e-12)
+        for grid in tree.details[0].grids():
             np.testing.assert_allclose(grid, [[0.0]], atol=1e-12)
 
     def test_two_by_two_orientation(self):
-        sb = dwt2(np.array([[1.0, 2.0], [3.0, 4.0]]), WaveletKind.HAAR)
-        assert sb.cA[0, 0] == pytest.approx(5.0, abs=1e-12)
-        assert sb.cH[0, 0] == pytest.approx(-2.0, abs=1e-12)
-        assert sb.cV[0, 0] == pytest.approx(-1.0, abs=1e-12)
-        assert sb.cD[0, 0] == pytest.approx(0.0, abs=1e-12)
+        tree = dwt2(np.array([[1.0, 2.0], [3.0, 4.0]]), WaveletKind.HAAR)
+        det = tree.details[0]
+        assert tree.deepest_approx[0, 0] == pytest.approx(5.0, abs=1e-12)
+        assert det.cH[0, 0] == pytest.approx(-2.0, abs=1e-12)
+        assert det.cV[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert det.cD[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("dims", [(8, 8), (6, 10), (16, 4)])
@@ -120,19 +129,24 @@ class TestDwt2:
         img = rng.random(dims)
         fb = filter_bank(kind)
         ca, chh, cv, cd = oracle_dwt2(img, fb.lo_d, fb.hi_d)
-        sb = dwt2(img, kind)
-        np.testing.assert_allclose(sb.cA, ca, atol=1e-12)
-        np.testing.assert_allclose(sb.cH, chh, atol=1e-12)
-        np.testing.assert_allclose(sb.cV, cv, atol=1e-12)
-        np.testing.assert_allclose(sb.cD, cd, atol=1e-12)
+        tree = dwt2(img, kind)
+        det = tree.details[0]
+        np.testing.assert_allclose(tree.deepest_approx, ca, atol=1e-12)
+        np.testing.assert_allclose(det.cH, chh, atol=1e-12)
+        np.testing.assert_allclose(det.cV, cv, atol=1e-12)
+        np.testing.assert_allclose(det.cD, cd, atol=1e-12)
+        # the whole array is the two-sided product, which pins the Mallat layout
+        rows, cols = dims
+        row_op = np.vstack([analysis_matrix(fb.lo_d, cols), analysis_matrix(fb.hi_d, cols)])
+        col_op = np.vstack([analysis_matrix(fb.lo_d, rows), analysis_matrix(fb.hi_d, rows)])
+        np.testing.assert_allclose(tree.coeffs, col_op @ img @ row_op.T, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_energy_conserved(self, kind):
         rng = np.random.default_rng(3)
         img = rng.random((8, 8))
-        sb = dwt2(img, kind)
-        mass = sum((g**2).sum() for g in (sb.cA, sb.cH, sb.cV, sb.cD))
-        assert mass == pytest.approx((img**2).sum(), rel=1e-9)
+        tree = dwt2(img, kind)
+        assert (tree.coeffs**2).sum() == pytest.approx((img**2).sum(), rel=1e-9)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_linearity(self, kind):
@@ -141,61 +155,44 @@ class TestDwt2:
         a, b = 1.7, -0.3
         left = dwt2(a * x + b * y, kind)
         rx, ry = dwt2(x, kind), dwt2(y, kind)
-        for grid in "cA cH cV cD".split():
-            np.testing.assert_allclose(
-                getattr(left, grid),
-                a * getattr(rx, grid) + b * getattr(ry, grid),
-                atol=1e-12,
-            )
+        np.testing.assert_allclose(left.coeffs, a * rx.coeffs + b * ry.coeffs, atol=1e-12)
 
     def test_odd_dims_rejected(self):
-        with pytest.raises(DataError, match="odd"):
+        with pytest.raises(DataError, match="divisible"):
             dwt2(np.ones((3, 4)), WaveletKind.HAAR)
 
 
 class TestIdwt2:
     def test_constant_inverse(self):
-        sb = SubbandSet(
-            cA=np.full((1, 1), 2.0),
-            cH=np.zeros((1, 1)),
-            cV=np.zeros((1, 1)),
-            cD=np.zeros((1, 1)),
-        )
-        np.testing.assert_allclose(idwt2(sb, WaveletKind.HAAR), np.ones((2, 2)), atol=1e-12)
+        tree = single_band_tree((2, 2), WaveletKind.HAAR, "cA", 2.0)
+        np.testing.assert_allclose(reconstruct(tree), np.ones((2, 2)), atol=1e-12)
 
     def test_single_horizontal_detail(self):
-        sb = SubbandSet(
-            cA=np.zeros((1, 1)),
-            cH=np.ones((1, 1)),
-            cV=np.zeros((1, 1)),
-            cD=np.zeros((1, 1)),
-        )
-        np.testing.assert_allclose(
-            idwt2(sb, WaveletKind.HAAR), [[0.5, 0.5], [-0.5, -0.5]], atol=1e-12
-        )
+        tree = single_band_tree((2, 2), WaveletKind.HAAR, "cH", 1.0)
+        np.testing.assert_allclose(reconstruct(tree), [[0.5, 0.5], [-0.5, -0.5]], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_transpose_oracle(self, kind):
         rng = np.random.default_rng(13)
         grids = rng.random((4, 4, 6))
         fb = filter_bank(kind)
-        sb = SubbandSet(cA=grids[0], cH=grids[1], cV=grids[2], cD=grids[3])
+        tree = decompose(np.zeros((8, 12)), kind, 1, pad=False)
+        for view, grid in zip((tree.deepest_approx, *tree.details[0].grids()), grids):
+            view[...] = grid
         expected = oracle_idwt2(*grids, fb.lo_d, fb.hi_d)
-        np.testing.assert_allclose(idwt2(sb, kind), expected, atol=1e-12)
+        np.testing.assert_allclose(reconstruct(tree), expected, atol=1e-12)
 
     def test_roundtrip_db2_small(self):
         img = np.array([[1.0, 2.0], [3.0, 4.0]])
-        sb = dwt2(img, WaveletKind.DB2)
-        np.testing.assert_allclose(idwt2(sb, WaveletKind.DB2), img, atol=1e-9)
+        tree = dwt2(img, WaveletKind.DB2)
+        np.testing.assert_allclose(reconstruct(tree), img, atol=1e-9)
 
     def test_mismatched_subband_dims_rejected(self):
+        # 6 columns cannot split into two levels of equal-size subbands
         with pytest.raises(DataError, match="dims"):
-            SubbandSet(
-                cA=np.zeros((2, 2)),
-                cH=np.zeros((1, 1)),
-                cV=np.zeros((2, 2)),
-                cD=np.zeros((2, 2)),
-            )
+            DecompositionTree(WaveletKind.HAAR, np.zeros((4, 6)), 2, (4, 6))
+        with pytest.raises(DataError, match="dims"):
+            DecompositionTree(WaveletKind.HAAR, np.zeros(4), 1, (4, 1))
 
 
 class TestDecomposeReconstruct:
@@ -205,14 +202,16 @@ class TestDecomposeReconstruct:
         assert [d.dims for d in tree.details] == [(16, 16), (8, 8), (4, 4), (2, 2), (1, 1)]
 
     def test_single_level_equals_dwt2(self):
+        # level 2 is one more dwt2 of level 1's approximation
         rng = np.random.default_rng(21)
         img = rng.random((8, 8))
-        tree = decompose(img, WaveletKind.DB2, 1)
-        sb = dwt2(img, WaveletKind.DB2)
-        np.testing.assert_array_equal(tree.deepest_approx, sb.cA)
-        np.testing.assert_array_equal(tree.details[0].cH, sb.cH)
-        np.testing.assert_array_equal(tree.details[0].cV, sb.cV)
-        np.testing.assert_array_equal(tree.details[0].cD, sb.cD)
+        tree = decompose(img, WaveletKind.DB2, 2)
+        first = dwt2(img, WaveletKind.DB2)
+        second = dwt2(first.deepest_approx, WaveletKind.DB2)
+        np.testing.assert_array_equal(tree.deepest_approx, second.deepest_approx)
+        for level, sb in enumerate((first, second)):
+            for got, want in zip(tree.details[level].grids(), sb.details[0].grids()):
+                np.testing.assert_array_equal(got, want)
 
     def test_multilevel_energy_conserved(self):
         rng = np.random.default_rng(2)
@@ -248,15 +247,23 @@ class TestDecomposeReconstruct:
             grid[:] = 0.0
         np.testing.assert_allclose(reconstruct(tree), np.full((8, 8), 0.4), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        img = np.ones((8, 8))
+        img[3, 5] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            decompose(img, WaveletKind.HAAR, 2)
+
     def test_bad_levels_rejected(self):
         with pytest.raises(DataError):
             decompose(np.ones((8, 8)), WaveletKind.HAAR, 0)
 
     def test_inconsistent_tree_rejected(self):
         tree = decompose(np.ones((16, 16)), WaveletKind.HAAR, 2)
-        tree.details[0] = tree.details[1]
         with pytest.raises(DataError, match="inconsistent"):
-            reconstruct(tree)
+            DecompositionTree(tree.wavelet, tree.coeffs, 5, tree.original_dims)
+        with pytest.raises(DataError, match="inconsistent"):
+            DecompositionTree(tree.wavelet, tree.coeffs, tree.levels, (17, 16))
 
 
 class TestExportTree:
