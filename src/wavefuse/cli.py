@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .errors import DataError, NumericError
 from .fusion import FusionPolicy, FusionRule, fuse_images
@@ -46,14 +47,15 @@ def _pca_k(text: str):
 
 
 def _add_wavelet_args(p):
-    p.add_argument("--wavelet", choices=[k.value for k in WaveletKind], default="db2")
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--wavelet", choices=[k.value for k in WaveletKind],
+                   default=PipelineConfig.wavelet.value)
+    p.add_argument("--levels", type=int, default=PipelineConfig.levels)
 
 
 def _add_rule_args(p):
     rules = [r.value for r in FusionRule]
-    p.add_argument("--approx-rule", choices=rules, default="maxabs")
-    p.add_argument("--detail-rule", choices=rules, default="minabs")
+    p.add_argument("--approx-rule", choices=rules, default=PipelineConfig.approx_rule.value)
+    p.add_argument("--detail-rule", choices=rules, default=PipelineConfig.detail_rule.value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,15 +91,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a recognition model on a dataset directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--split", type=float, default=0.5, help="train fraction per class")
+    p.add_argument("--split", dest="split_fraction", type=float,
+                   default=PipelineConfig.split_fraction, help="train fraction per class")
     _add_wavelet_args(p)
     _add_rule_args(p)
-    p.add_argument("--pca-k", type=_pca_k, default="auto", metavar="AUTO|int")
-    p.add_argument("--hidden", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pca-k", type=_pca_k, default=PipelineConfig.pca_k, metavar="AUTO|int")
+    p.add_argument("--hidden", type=int, default=PipelineConfig.hidden)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=PipelineConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=PipelineConfig.momentum)
+    p.add_argument("--epochs", type=int, default=PipelineConfig.epochs)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--model", required=True, help="output model JSON path")
     p.set_defaults(func=_cmd_train)
 
@@ -144,20 +147,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    data = ingest_dataset(args.data, split=args.split, seed=args.seed)
+    names = {f.name for f in fields(PipelineConfig)}
+    cfg = PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
+    data = ingest_dataset(args.data, split=cfg.split_fraction, seed=cfg.seed)
     _warn_unpaired(data)
-    cfg = PipelineConfig(
-        wavelet=WaveletKind(args.wavelet),
-        levels=args.levels,
-        policy=FusionPolicy(FusionRule(args.approx_rule), FusionRule(args.detail_rule)),
-        pca_k=args.pca_k,
-        hidden=args.hidden,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        epochs=args.epochs,
-        seed=args.seed,
-        split_fraction=args.split,
-    )
     model = train_pipeline(data, cfg)
     save_model(model, args.model)
     n_train, n_test = data.counts()

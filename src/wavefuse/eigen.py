@@ -30,6 +30,21 @@ class EigenspaceModel:
     eigenvalues: np.ndarray
     basis: np.ndarray
 
+    def __post_init__(self):
+        dims = self.input_dims = tuple(self.input_dims)
+        if len(dims) != 2 or not all(type(n) is int and n > 0 for n in dims):
+            raise DataError(f"input_dims must be two positive integers, got {dims}")
+        self.mean, self.eigenvalues, self.basis = (
+            np.asarray(a, dtype=np.float64) for a in (self.mean, self.eigenvalues, self.basis)
+        )
+        size, k = dims[0] * dims[1], len(self.basis) if self.basis.ndim else 0
+        for name, shape in (("basis", (k, size)), ("mean", (size,)), ("eigenvalues", (k,))):
+            values = getattr(self, name)
+            if values.shape != shape:
+                raise DataError(f"{name} has shape {values.shape}, expected {shape}")
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{name} holds non-finite values")
+
     @property
     def k(self) -> int:
         return self.basis.shape[0]

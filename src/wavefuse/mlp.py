@@ -57,6 +57,8 @@ class MlpModel:
 
     def __post_init__(self):
         sizes = self.config.layer_sizes
+        if not len(self.weights) == len(self.biases) == len(sizes) - 1:
+            raise DataError(f"layer sizes {sizes} need {len(sizes) - 1} weight and bias arrays")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
                 raise DataError(

@@ -16,9 +16,14 @@ modalities directly measurable against the same trained model.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+import typing
+from dataclasses import dataclass, field, fields
+from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +69,12 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run, in the key order of the model file's ``config``."""
+
     wavelet: WaveletKind = WaveletKind.DB2
     levels: int = 5
-    policy: FusionPolicy = FusionPolicy()
+    approx_rule: FusionRule = FusionRule.MAX_ABS
+    detail_rule: FusionRule = FusionRule.MIN_ABS
     pca_k: int | str = AUTO
     hidden: int = 100
     learning_rate: float = 0.1
@@ -77,17 +85,40 @@ class PipelineConfig:
     split_fraction: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "wavelet", WaveletKind(self.wavelet))
-        if isinstance(self.pca_k, str):
-            if self.pca_k.lower() != AUTO:
-                raise DataError(f"pca_k must be a positive integer or '{AUTO}'")
-            object.__setattr__(self, "pca_k", AUTO)
-        else:
-            object.__setattr__(self, "pca_k", int(self.pca_k))
-            if self.pca_k < 1:
-                raise DataError(f"pca_k must be >= 1, got {self.pca_k}")
+        for name, kind in typing.get_type_hints(PipelineConfig).items():
+            object.__setattr__(self, name, _typed(name, kind, getattr(self, name)))
+        if self.pca_k != AUTO and self.pca_k < 1:
+            raise DataError(f"pca_k must be >= 1, got {self.pca_k}")
         if self.hidden < 1:
             raise DataError(f"hidden size must be >= 1, got {self.hidden}")
+
+    @property
+    def policy(self) -> FusionPolicy:
+        return FusionPolicy(self.approx_rule, self.detail_rule)
+
+    def mlp_config(self, layer_sizes) -> MlpConfig:
+        """The network config for ``layer_sizes``; MlpConfig's other fields are read from here."""
+        shared = {f.name: getattr(self, f.name) for f in fields(MlpConfig)[1:]}  # after layer_sizes
+        return MlpConfig(layer_sizes=tuple(layer_sizes), **shared)
+
+
+def _typed(name: str, kind, value):
+    """``value`` as field ``name`` of type ``kind``, else a DataError naming the field.
+
+    Numbers are never parsed or truncated: ``"3"``, ``true`` and ``2.5`` are no integer.
+    """
+    if kind == int | str and isinstance(value, str) and value.lower() == AUTO:
+        return AUTO
+    if kind in (int, float, int | str):
+        what = {float: "a number", int: "an integer"}.get(kind, f"an integer or '{AUTO}'")
+        number = numbers.Real if kind is float else numbers.Integral
+        if isinstance(value, bool) or not isinstance(value, number):
+            raise DataError(f"{name} must be {what}, got {value!r}")
+        return float(value) if kind is float else int(value)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{name} must be one of {[m.value for m in kind]}, got {value!r}") from None
 
 
 @dataclass
@@ -110,18 +141,6 @@ class PipelineModel:
                 f"MLP input size {self.mlp.config.layer_sizes[0]} does not match "
                 f"eigenspace size {self.eigenspace.k}"
             )
-
-    @property
-    def wavelet(self) -> WaveletKind:
-        return self.config.wavelet
-
-    @property
-    def levels(self) -> int:
-        return self.config.levels
-
-    @property
-    def policy(self) -> FusionPolicy:
-        return self.config.policy
 
 
 @dataclass
@@ -231,15 +250,7 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
     eigenspace = fit_eigenspace(fused, k=cfg.pca_k)
     features = [project(eigenspace, img) for img in fused]
     net = train(
-        MlpConfig(
-            layer_sizes=(eigenspace.k, cfg.hidden, len(labels)),
-            learning_rate=cfg.learning_rate,
-            momentum=cfg.momentum,
-            epochs=cfg.epochs,
-            seed=cfg.seed,
-            target_error=cfg.target_error,
-        ),
-        list(zip(features, targets)),
+        cfg.mlp_config((eigenspace.k, cfg.hidden, len(labels))), list(zip(features, targets))
     )
     return PipelineModel(config=cfg, class_labels=labels, eigenspace=eigenspace, mlp=net)
 
@@ -269,7 +280,7 @@ def evaluate(
             if s.train != (split == "train"):
                 continue
             t, v = _rendered_pair(s, modality)
-            img = fuse_images(t, v, model.wavelet, model.levels, model.policy)
+            img = fuse_images(t, v, model.config.wavelet, model.config.levels, model.config.policy)
             predicted, _ = predict(model.mlp, project(model.eigenspace, img))
             confusion[ci, predicted] += 1
     total = int(confusion.sum())
@@ -365,39 +376,36 @@ def generate_synthetic_dataset(
     return out
 
 
-def _config_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "wavelet": cfg.wavelet.value,
-        "levels": cfg.levels,
-        "approx_rule": cfg.policy.approx_rule.value,
-        "detail_rule": cfg.policy.detail_rule.value,
-        "pca_k": cfg.pca_k,
-        "hidden": cfg.hidden,
-        "learning_rate": cfg.learning_rate,
-        "momentum": cfg.momentum,
-        "epochs": cfg.epochs,
-        "target_error": cfg.target_error,
-        "seed": cfg.seed,
-        "split_fraction": cfg.split_fraction,
-    }
+def _json_fields(obj) -> dict:
+    """A dataclass's fields in order, with enums as their values and arrays as lists."""
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    for name, value in doc.items():
+        if isinstance(value, (Enum, np.ndarray)):
+            doc[name] = value.value if isinstance(value, Enum) else value.tolist()
+    return doc
 
 
-def _config_from_dict(doc: dict) -> PipelineConfig:
-    return PipelineConfig(
-        wavelet=WaveletKind(doc["wavelet"]),
-        levels=int(doc["levels"]),
-        policy=FusionPolicy(
-            approx_rule=FusionRule(doc["approx_rule"]),
-            detail_rule=FusionRule(doc["detail_rule"]),
-        ),
-        pca_k=doc["pca_k"],
-        hidden=int(doc["hidden"]),
-        learning_rate=float(doc["learning_rate"]),
-        momentum=float(doc["momentum"]),
-        epochs=int(doc["epochs"]),
-        target_error=float(doc["target_error"]),
-        seed=int(doc["seed"]),
-        split_fraction=float(doc["split_fraction"]),
+def _section(doc: dict, name: str, build):
+    """``build(**doc[name])``; the keys must be ``build``'s parameters, else a DataError."""
+    section, keys = doc.get(name), list(inspect.signature(build).parameters)
+    if not isinstance(section, dict) or set(section) != set(keys):
+        raise DataError(f"field {name} must be a JSON object with keys {', '.join(keys)}")
+    try:
+        return build(**section)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"field {name}: {exc}") from exc
+
+
+def _mlp_model(cfg: PipelineConfig, layer_sizes, activation, weights, biases, epochs_run,
+               final_error) -> MlpModel:
+    if activation != "sigmoid":
+        raise DataError(f"activation must be 'sigmoid', got {activation!r}")
+    return MlpModel(
+        config=cfg.mlp_config(layer_sizes),
+        weights=[np.asarray(w, dtype=np.float64) for w in weights],
+        biases=[np.asarray(b, dtype=np.float64) for b in biases],
+        epochs_run=_typed("epochs_run", int, epochs_run),
+        final_error=_typed("final_error", float, final_error),
     )
 
 
@@ -405,14 +413,9 @@ def save_model(model: PipelineModel, path) -> None:
     """Persist a model as one JSON document with full-precision decimal arrays."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": _config_dict(model.config),
+        "config": _json_fields(model.config),
         "class_labels": list(model.class_labels),
-        "eigenspace": {
-            "input_dims": list(model.eigenspace.input_dims),
-            "mean": model.eigenspace.mean.tolist(),
-            "eigenvalues": model.eigenspace.eigenvalues.tolist(),
-            "basis": model.eigenspace.basis.tolist(),
-        },
+        "eigenspace": _json_fields(model.eigenspace),
         "mlp": {
             "layer_sizes": list(model.mlp.config.layer_sizes),
             "activation": "sigmoid",
@@ -426,57 +429,40 @@ def save_model(model: PipelineModel, path) -> None:
 
 
 def load_model(path) -> PipelineModel:
+    """Read a model file; anything malformed is a DataError naming the file and the field."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"model file {path} must hold a JSON object, got {type(doc).__name__}")
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
-        )
     try:
-        cfg = _config_from_dict(doc["config"])
-        eig = doc["eigenspace"]
-        eigenspace = EigenspaceModel(
-            input_dims=tuple(eig["input_dims"]),
-            mean=np.asarray(eig["mean"], dtype=np.float64),
-            eigenvalues=np.asarray(eig["eigenvalues"], dtype=np.float64),
-            basis=np.asarray(eig["basis"], dtype=np.float64),
+        if not isinstance(doc, dict):
+            raise DataError(f"must hold a JSON object, got {type(doc).__name__}")
+        version = doc.get("format_version")
+        if version != MODEL_FORMAT_VERSION:
+            raise DataError(
+                f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
+            )
+        labels = doc.get("class_labels")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise DataError("field class_labels must be a list of strings")
+        cfg = _section(doc, "config", PipelineConfig)
+        return PipelineModel(
+            config=cfg,
+            class_labels=labels,
+            eigenspace=_section(doc, "eigenspace", EigenspaceModel),
+            mlp=_section(doc, "mlp", partial(_mlp_model, cfg)),
         )
-        mlp_doc = doc["mlp"]
-        net = MlpModel(
-            config=MlpConfig(
-                layer_sizes=tuple(mlp_doc["layer_sizes"]),
-                learning_rate=cfg.learning_rate,
-                momentum=cfg.momentum,
-                epochs=cfg.epochs,
-                seed=cfg.seed,
-                target_error=cfg.target_error,
-            ),
-            weights=[np.asarray(w, dtype=np.float64) for w in mlp_doc["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in mlp_doc["biases"]],
-            epochs_run=int(mlp_doc["epochs_run"]),
-            final_error=float(mlp_doc["final_error"]),
-        )
-        labels = [str(lab) for lab in doc["class_labels"]]
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"model file {path} is missing field: {exc}") from exc
-    return PipelineModel(config=cfg, class_labels=labels, eigenspace=eigenspace, mlp=net)
+    except DataError as exc:
+        raise DataError(f"model file {path}: {exc}") from exc
 
 
 def report_dict(report: EvaluationReport) -> dict:
     return {
         "modality": report.modality,
         "split": report.split,
-        "config": _config_dict(report.config),
+        "config": _json_fields(report.config),
         "labels": list(report.labels),
-        "per_class": [
-            {"label": r.label, "tested": r.tested, "correct": r.correct, "rate": r.rate}
-            for r in report.per_class
-        ],
+        "per_class": [_json_fields(r) for r in report.per_class],
         "overall": {
             "tested": report.overall_tested,
             "correct": report.overall_correct,

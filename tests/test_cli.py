@@ -10,6 +10,7 @@ import pytest
 from wavefuse.cli import main
 from wavefuse.errors import NumericError
 from wavefuse.imgio import load_image, save_image
+from wavefuse.pipeline import PipelineConfig
 
 
 @pytest.fixture()
@@ -161,6 +162,45 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--data", str(dataset), "--model", str(model),
                      "--report", str(tmp_path / "r.json")]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("config", [1]), ("config", "x"), ("levels", "x"), ("levels", 2.5), ("levels", True),
+    ])
+    def test_malformed_model_file_names_file_and_field(self, dataset, model_path, tmp_path,
+                                                       capsys, field, value):
+        doc = json.loads(model_path.read_text())
+        if field == "config":
+            doc["config"] = value
+        else:
+            doc["config"][field] = value
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--data", str(dataset), "--model", str(model),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model file {model}: field config")
+        assert field in err.split(":", 2)[2]
+
+    def test_train_flags_fill_config_fields_by_name(self, dataset, monkeypatch, tmp_path):
+        import wavefuse.cli as cli
+
+        seen = []
+
+        def capture(data, cfg):
+            seen.append(cfg)
+            raise NumericError("stop")
+
+        monkeypatch.setattr(cli, "train_pipeline", capture)
+        argv = ["train", "--data", str(dataset), "--model", str(tmp_path / "m.json")]
+        assert main(argv) == 3
+        assert main(argv + ["--wavelet", "haar", "--levels", "2", "--approx-rule", "average",
+                            "--detail-rule", "maxabs", "--pca-k", "4", "--hidden", "7",
+                            "--lr", "0.02", "--momentum", "0.5", "--epochs", "9",
+                            "--seed", "3", "--split", "0.25"]) == 3
+        assert seen == [
+            PipelineConfig(),
+            PipelineConfig("haar", 2, "average", "maxabs", 4, 7, 0.02, 0.5, 9, 1e-3, 3, 0.25),
+        ]
 
     def test_bad_split_fraction_is_data_error(self, dataset, tmp_path, capsys):
         assert main(["train", "--data", str(dataset), "--split", "1.0",

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from wavefuse.eigen import AUTO, fit_eigenspace, project, reconstruct_from_features
+from wavefuse.eigen import (
+    AUTO,
+    EigenspaceModel,
+    fit_eigenspace,
+    project,
+    reconstruct_from_features,
+)
 from wavefuse.errors import DataError
 
 
@@ -157,3 +163,34 @@ class TestReconstructFromFeatures:
         model = fit_eigenspace(random_images, k=3)
         with pytest.raises(DataError, match="features"):
             reconstruct_from_features(model, np.zeros(4))
+
+
+class TestModelValidation:
+    """An EigenspaceModel read from a file is checked before any projection."""
+
+    def fields(self, random_images):
+        model = fit_eigenspace(random_images, k=3)
+        return dict(input_dims=model.input_dims, mean=model.mean,
+                    eigenvalues=model.eigenvalues, basis=model.basis)
+
+    def test_lists_become_float64_arrays(self, random_images):
+        fields = {k: np.asarray(v).tolist() for k, v in self.fields(random_images).items()}
+        model = EigenspaceModel(**fields)
+        assert model.input_dims == (8, 8)
+        for name in ("mean", "eigenvalues", "basis"):
+            assert getattr(model, name).dtype == np.float64
+        assert model.k == 3
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("basis", lambda b: np.where(b == b[1, 5], np.nan, b), "basis holds non-finite"),
+        ("mean", lambda m: m[:-1], "mean has shape"),
+        ("eigenvalues", lambda e: np.append(e, 0.5), "eigenvalues has shape"),
+        ("basis", lambda b: b[:, :-1], "basis has shape"),
+        ("input_dims", lambda d: (8, 8, 1), "input_dims"),
+        ("input_dims", lambda d: (8.0, 8), "input_dims"),
+    ], ids=["nan-basis", "short-mean", "extra-eigenvalue", "narrow-basis", "3-d", "float-dims"])
+    def test_inconsistent_model_rejected(self, random_images, name, value, match):
+        fields = self.fields(random_images)
+        fields[name] = value(fields[name])
+        with pytest.raises(DataError, match=match):
+            EigenspaceModel(**fields)

@@ -254,3 +254,12 @@ class TestConfigValidation:
                 weights=[np.zeros((3, 2))],
                 biases=[np.zeros(3)],
             )
+
+    @pytest.mark.parametrize("layers", [1, 3], ids=["layer-dropped", "layer-added"])
+    def test_layer_count_must_match_sizes(self, layers):
+        rng = np.random.default_rng(0)
+        sizes = [2, 3, 3, 2][: layers + 1]
+        weights = [rng.random((b, a)) for a, b in zip(sizes, sizes[1:])]
+        biases = [rng.random(b) for b in sizes[1:]]
+        with pytest.raises(DataError, match="need 2 weight and bias arrays"):
+            MlpModel(config=MlpConfig(layer_sizes=(2, 3, 3)), weights=weights, biases=biases)

@@ -1,11 +1,15 @@
 """Dataset ingestion, training, evaluation, generation, and persistence."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavefuse.errors import DataError
+from wavefuse.fusion import FusionPolicy, FusionRule
+from wavefuse.mlp import MlpConfig
 from wavefuse.imgio import load_image, save_image
 from wavefuse.pipeline import (
     PipelineConfig,
@@ -21,6 +25,9 @@ from wavefuse.pipeline import (
 )
 
 SMALL_CFG = PipelineConfig(levels=3, epochs=200, hidden=20, seed=0)
+# A small v1 model file (2 classes x 4 samples at 8x8, db2 at 2 levels, k 2,
+# hidden 3, 20 epochs); loading and saving it must reproduce its bytes.
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +286,70 @@ class TestPersistence:
         model, data = small_model
         doc = report_dict(evaluate(model, data))
         assert doc == json.loads(json.dumps(doc))
+
+    def test_v1_model_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(load_model(MODEL_V1), path)
+        assert path.read_bytes() == MODEL_V1.read_bytes()
+
+    def test_config_keys_are_the_config_fields(self, small_model, tmp_path):
+        model, data = small_model
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert list(doc["config"]) == [f.name for f in fields(PipelineConfig)]
+        assert list(doc["eigenspace"]) == ["input_dims", "mean", "eigenvalues", "basis"]
+        assert list(report_dict(evaluate(model, data))["per_class"][0]) == [
+            "label", "tested", "correct", "rate"
+        ]
+
+    @pytest.mark.parametrize("section, key, value, match", [
+        ("mlp", "activation", "tanh", "activation"),
+        ("mlp", "weights", [[[0.0]]], "need 2 weight"),
+        ("mlp", "epochs_run", 2.5, "epochs_run"),
+        ("eigenspace", "basis", [[float("nan")] * 64] * 2, "non-finite"),
+        ("config", "extra", 1, "field config must be a JSON object with keys"),
+    ])
+    def test_malformed_section_names_file_and_field(self, tmp_path, section, key, value, match):
+        doc = json.loads(MODEL_V1.read_text())
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"model file {path}: field {section}") as info:
+            load_model(path)
+        assert match in str(info.value)
+
+
+class TestConfig:
+    def test_policy_is_built_from_the_rule_fields(self):
+        cfg = PipelineConfig(approx_rule="average", detail_rule=FusionRule.MAX_ABS)
+        assert cfg.policy == FusionPolicy(FusionRule.AVERAGE, FusionRule.MAX_ABS)
+        assert PipelineConfig().policy == FusionPolicy()
+
+    def test_mlp_config_shares_the_training_fields(self):
+        cfg = PipelineConfig(learning_rate=0.3, momentum=0.5, epochs=7, seed=4, target_error=0.2)
+        assert cfg.mlp_config([5, 4, 3]) == MlpConfig((5, 4, 3), 0.3, 0.5, 7, 4, 0.2)
+
+    @pytest.mark.parametrize("value", [2.5, "x", True, "3", None])
+    def test_int_field_rejects_non_integers(self, value):
+        with pytest.raises(DataError, match="levels must be an integer"):
+            PipelineConfig(levels=value)
+
+    @pytest.mark.parametrize("value", ["x", False, [0.1]])
+    def test_float_field_rejects_non_numbers(self, value):
+        with pytest.raises(DataError, match="learning_rate must be a number"):
+            PipelineConfig(learning_rate=value)
+
+    def test_numbers_normalised(self):
+        cfg = PipelineConfig(levels=np.int64(3), learning_rate=1, pca_k="AUTO")
+        assert type(cfg.levels) is int and cfg.levels == 3
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        assert cfg.pca_k == "auto"
+
+    @pytest.mark.parametrize("field, value", [
+        ("wavelet", "db3"), ("approx_rule", "max"), ("detail_rule", 1),
+        ("pca_k", "all"), ("pca_k", 2.5), ("pca_k", 0),
+    ])
+    def test_bad_values_name_the_field(self, field, value):
+        with pytest.raises(DataError, match=field):
+            PipelineConfig(**{field: value})
