@@ -91,7 +91,8 @@ def loss_and_gradients(model: MlpModel, x, target):
     """Per-sample squared error and its analytic gradients.
 
     Returns (loss, weight gradients, bias gradients) where loss is
-    1/2 * sum((y - t)^2). Shared by the training loop and by gradient checks.
+    1/2 * sum((y - t)^2). ``train`` inlines the same computation; this is
+    the form the gradient checks test.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (model.config.layer_sizes[-1],):
@@ -145,8 +146,15 @@ def train(config: MlpConfig, data) -> MlpModel:
     weights = [rng.uniform(-0.5, 0.5, (sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
     biases = [rng.uniform(-0.5, 0.5, sizes[i + 1]) for i in range(len(sizes) - 1)]
     model = MlpModel(config=config, weights=weights, biases=biases)
+    # Each step is loss_and_gradients inlined, with the weight gradients and the
+    # momentum update written into preallocated buffers. It computes the same
+    # products and sums in the same order as loss_and_gradients followed by
+    # delta_w(n) = momentum * delta_w(n-1) - lr * dE/dw, so the weights are
+    # bitwise equal to that loop's; a test holds the two to it.
+    grads_w = [np.empty_like(w) for w in weights]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
+    grads_b = [None] * len(biases)
 
     lr, mom = config.learning_rate, config.momentum
     epoch_error = math.nan
@@ -154,13 +162,25 @@ def train(config: MlpConfig, data) -> MlpModel:
     for epoch in range(1, config.epochs + 1):
         total = 0.0
         for i in rng.permutation(len(xs)):
-            loss, grads_w, grads_b = loss_and_gradients(model, xs[i], ts[i])
-            total += loss
-            for layer in range(len(weights)):
-                vel_w[layer] = mom * vel_w[layer] - lr * grads_w[layer]
-                vel_b[layer] = mom * vel_b[layer] - lr * grads_b[layer]
-                weights[layer] += vel_w[layer]
-                biases[layer] += vel_b[layer]
+            acts = [xs[i]]
+            for w, b in zip(weights, biases):
+                acts.append(expit(w @ acts[-1] + b))
+            out = acts[-1]
+            err = out - ts[i]
+            total += 0.5 * float((err**2).sum())
+            delta = err * out * (1.0 - out)
+            for layer in range(len(weights) - 1, -1, -1):
+                np.multiply.outer(delta, acts[layer], out=grads_w[layer])
+                grads_b[layer] = delta
+                if layer:
+                    a = acts[layer]
+                    delta = (weights[layer].T @ delta) * a * (1.0 - a)
+            for params, vel, grads in ((weights, vel_w, grads_w), (biases, vel_b, grads_b)):
+                for p, v, g in zip(params, vel, grads):
+                    v *= mom
+                    g *= lr
+                    v -= g
+                    p += v
         epoch_error = total / len(xs)
         finite_params = all(
             np.all(np.isfinite(arr)) for arr in (*weights, *biases)

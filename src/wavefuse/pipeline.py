@@ -16,6 +16,7 @@ modalities directly measurable against the same trained model.
 
 from __future__ import annotations
 
+import base64
 import inspect
 import json
 import math
@@ -37,7 +38,7 @@ from .mlp import MlpConfig, MlpModel, predict, train
 from .wavelet import WaveletKind
 
 MODALITIES = ("fused", "thermal", "visual")
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # load_model also reads format 1
 
 _NOISE_SIGMA = 0.02
 _TEXTURE_SIGMA = 0.02
@@ -377,12 +378,39 @@ def generate_synthetic_dataset(
 
 
 def _json_fields(obj) -> dict:
-    """A dataclass's fields in order, with enums as their values and arrays as lists."""
+    """A dataclass's fields in order, with enums as their values and arrays encoded."""
     doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
     for name, value in doc.items():
         if isinstance(value, (Enum, np.ndarray)):
-            doc[name] = value.value if isinstance(value, Enum) else value.tolist()
+            doc[name] = value.value if isinstance(value, Enum) else _json_array(value)
     return doc
+
+
+def _json_array(values: np.ndarray) -> dict:
+    """An array as its shape and the base64 of its C-order little-endian float64 bytes."""
+    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return {"shape": list(values.shape), "f64le": base64.b64encode(raw).decode("ascii")}
+
+
+def _array(version: int, name: str, value) -> np.ndarray:
+    """Decode one stored array: a nested list in format 1, a ``_json_array`` object after."""
+    if version == 1:
+        return np.array(value, dtype=np.float64)
+    if not isinstance(value, dict) or set(value) != {"shape", "f64le"}:
+        raise DataError(f"{name} must be a JSON object with keys shape, f64le")
+    shape, text = value["shape"], value["f64le"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
+    if not isinstance(text, str):
+        raise DataError(f"{name}: f64le must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise DataError(f"{name}: f64le is not valid base64: {exc}") from None
+    # the byte count is checked before the shape sizes anything
+    if len(raw) != 8 * math.prod(shape):
+        raise DataError(f"{name}: {len(raw)} bytes do not hold float64 shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _section(doc: dict, name: str, build):
@@ -392,25 +420,33 @@ def _section(doc: dict, name: str, build):
         raise DataError(f"field {name} must be a JSON object with keys {', '.join(keys)}")
     try:
         return build(**section)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"field {name}: {exc}") from exc
 
 
-def _mlp_model(cfg: PipelineConfig, layer_sizes, activation, weights, biases, epochs_run,
+def _eigenspace(array, input_dims, mean, eigenvalues, basis) -> EigenspaceModel:
+    return EigenspaceModel(
+        input_dims, array("mean", mean), array("eigenvalues", eigenvalues), array("basis", basis)
+    )
+
+
+def _mlp_model(cfg: PipelineConfig, array, layer_sizes, activation, weights, biases, epochs_run,
                final_error) -> MlpModel:
     if activation != "sigmoid":
         raise DataError(f"activation must be 'sigmoid', got {activation!r}")
+    if not (isinstance(weights, list) and isinstance(biases, list)):
+        raise DataError("weights and biases must be lists of arrays")
     return MlpModel(
         config=cfg.mlp_config(layer_sizes),
-        weights=[np.asarray(w, dtype=np.float64) for w in weights],
-        biases=[np.asarray(b, dtype=np.float64) for b in biases],
+        weights=[array(f"weights[{i}]", w) for i, w in enumerate(weights)],
+        biases=[array(f"biases[{i}]", b) for i, b in enumerate(biases)],
         epochs_run=_typed("epochs_run", int, epochs_run),
         final_error=_typed("final_error", float, final_error),
     )
 
 
 def save_model(model: PipelineModel, path) -> None:
-    """Persist a model as one JSON document with full-precision decimal arrays."""
+    """Persist a model as one JSON document; arrays are stored as exact float64 bytes."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": _json_fields(model.config),
@@ -419,8 +455,8 @@ def save_model(model: PipelineModel, path) -> None:
         "mlp": {
             "layer_sizes": list(model.mlp.config.layer_sizes),
             "activation": "sigmoid",
-            "weights": [w.tolist() for w in model.mlp.weights],
-            "biases": [b.tolist() for b in model.mlp.biases],
+            "weights": [_json_array(w) for w in model.mlp.weights],
+            "biases": [_json_array(b) for b in model.mlp.biases],
             "epochs_run": model.mlp.epochs_run,
             "final_error": model.mlp.final_error,
         },
@@ -429,28 +465,31 @@ def save_model(model: PipelineModel, path) -> None:
 
 
 def load_model(path) -> PipelineModel:
-    """Read a model file; anything malformed is a DataError naming the file and the field."""
+    """Read a model file of format 1 or 2; anything malformed is a DataError.
+
+    The two formats differ only in how arrays are stored: nested decimal lists
+    in 1, base64 float64 bytes in 2. Errors name the file and the field.
+    """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting deeper than the parser's stack
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         if not isinstance(doc, dict):
             raise DataError(f"must hold a JSON object, got {type(doc).__name__}")
         version = doc.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
-            )
+        if type(version) is not int or version not in (1, 2):
+            raise DataError(f"unsupported model format version {version!r}, expected 1 or 2")
         labels = doc.get("class_labels")
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise DataError("field class_labels must be a list of strings")
+        array = partial(_array, version)
         cfg = _section(doc, "config", PipelineConfig)
         return PipelineModel(
             config=cfg,
             class_labels=labels,
-            eigenspace=_section(doc, "eigenspace", EigenspaceModel),
-            mlp=_section(doc, "mlp", partial(_mlp_model, cfg)),
+            eigenspace=_section(doc, "eigenspace", partial(_eigenspace, array)),
+            mlp=_section(doc, "mlp", partial(_mlp_model, cfg, array)),
         )
     except DataError as exc:
         raise DataError(f"model file {path}: {exc}") from exc

@@ -74,14 +74,19 @@ def filter_bank(kind: WaveletKind) -> FilterBank:
     return FilterBank(lo_d=lo_d, hi_d=signs * lo_d[::-1])
 
 
-@functools.lru_cache(maxsize=64)
-def _operator(kind: WaveletKind, n: int) -> sparse.csr_matrix:
-    """The n x n analysis operator A_n: row i < n/2 is lo_d, row n/2 + i hi_d.
+@functools.lru_cache(maxsize=128)
+def _operator(kind: WaveletKind, n: int, synthesis: bool = False) -> sparse.csr_matrix:
+    """The n x n analysis operator A_n, or with ``synthesis`` its transpose A_n.T.
 
-    Both rows hold their taps at columns (2i - k) mod n. The matrix is built
-    from COO triplets with duplicates summed, so taps that wrap onto the
-    same column (db2 at n = 2) add up as circular convolution says.
+    Row i < n/2 of A_n is lo_d, row n/2 + i hi_d, both with their taps at
+    columns (2i - k) mod n. The matrix is built from COO triplets with
+    duplicates summed, so taps that wrap onto the same column (db2 at n = 2)
+    add up as circular convolution says. A_n.T is cached as CSR too, so
+    synthesis runs the same product as analysis: building ``.T`` on every
+    call cost about 27 us per operator, more than the product on small blocks.
     """
+    if synthesis:
+        return _operator(kind, n).T.tocsr()
     fb = filter_bank(kind)
     half = n // 2
     out = np.repeat(np.arange(half), fb.length)
@@ -100,9 +105,7 @@ def _sweep(coeffs: np.ndarray, kind: WaveletKind, levels: int, synthesis: bool) 
     rows, cols = coeffs.shape
     for level in reversed(range(levels)) if synthesis else range(levels):
         block = coeffs[: rows >> level, : cols >> level]
-        a_r, a_c = (_operator(kind, n) for n in block.shape)
-        if synthesis:
-            a_r, a_c = a_r.T, a_c.T
+        a_r, a_c = (_operator(kind, n, synthesis) for n in block.shape)
         # Two sparse @ dense products, as scipy's dense @ sparse path is several
         # times slower on small blocks. The explicit C-order copy frees the
         # first product before the second runs, where scipy's own copy of a

@@ -132,7 +132,7 @@ def model_path(dataset):
 class TestTrainEvaluate:
     def test_train_writes_model_and_summary(self, model_path, capsys):
         doc = json.loads(model_path.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert len(doc["class_labels"]) == 3
 
     def test_evaluate_writes_report(self, dataset, model_path, capsys):

@@ -187,6 +187,34 @@ class TestTrain:
         for a, b in zip(trained.biases, manual.biases):
             np.testing.assert_array_equal(a, b)
 
+    def test_equals_reference_loop_bitwise(self):
+        # the online momentum loop written from loss_and_gradients, shuffle and all
+        cfg = MlpConfig(layer_sizes=(5, 7, 4, 3), learning_rate=0.3, momentum=0.8, epochs=6,
+                        seed=2, target_error=0.0)
+        data_rng = np.random.default_rng(9)
+        data = [(data_rng.standard_normal(5), data_rng.uniform(0.1, 0.9, 3)) for _ in range(11)]
+        trained = train(cfg, data)
+
+        rng = np.random.default_rng(cfg.seed)
+        sizes = cfg.layer_sizes
+        weights = [rng.uniform(-0.5, 0.5, (sizes[i + 1], sizes[i])) for i in range(3)]
+        biases = [rng.uniform(-0.5, 0.5, sizes[i + 1]) for i in range(3)]
+        manual = MlpModel(config=cfg, weights=weights, biases=biases)
+        params = weights + biases
+        velocity = [np.zeros_like(p) for p in params]
+        for _ in range(cfg.epochs):
+            total = 0.0
+            for i in rng.permutation(len(data)):
+                loss, gw, gb = loss_and_gradients(manual, *data[i])
+                total += loss
+                for j, grad in enumerate(gw + gb):
+                    velocity[j] = cfg.momentum * velocity[j] - cfg.learning_rate * grad
+                    params[j] += velocity[j]
+        for a, b in zip(trained.weights + trained.biases, params):
+            assert a.tobytes() == b.tobytes()
+        assert trained.final_error == total / len(data)
+        assert trained.epochs_run == cfg.epochs
+
     def test_bit_reproducible(self):
         a = train(xor_config(seed=7), XOR_DATA)
         b = train(xor_config(seed=7), XOR_DATA)

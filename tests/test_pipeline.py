@@ -1,11 +1,14 @@
 """Dataset ingestion, training, evaluation, generation, and persistence."""
 
+import base64
 import json
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wavefuse.errors import DataError
 from wavefuse.fusion import FusionPolicy, FusionRule
@@ -26,8 +29,10 @@ from wavefuse.pipeline import (
 
 SMALL_CFG = PipelineConfig(levels=3, epochs=200, hidden=20, seed=0)
 # A small v1 model file (2 classes x 4 samples at 8x8, db2 at 2 levels, k 2,
-# hidden 3, 20 epochs); loading and saving it must reproduce its bytes.
+# hidden 3, 20 epochs), and the same model saved as v2; loading either and
+# saving it must give the v2 bytes.
 MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
+MODEL_V2 = Path(__file__).parent / "data" / "model_v2.json"
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +252,7 @@ class TestPersistence:
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["config"]["wavelet"] == "db2"
         assert doc["config"]["split_fraction"] == 0.5
         assert doc["mlp"]["activation"] == "sigmoid"
@@ -266,6 +271,12 @@ class TestPersistence:
         path = tmp_path / "m.json"
         path.write_text("{not json")
         with pytest.raises(DataError, match="JSON"):
+            load_model(path)
+
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DataError, match="not valid JSON"):
             load_model(path)
 
     def test_report_json_and_table(self, small_model, tmp_path):
@@ -287,10 +298,25 @@ class TestPersistence:
         doc = report_dict(evaluate(model, data))
         assert doc == json.loads(json.dumps(doc))
 
-    def test_v1_model_file_bytes_are_pinned(self, tmp_path):
+    def test_v2_model_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(load_model(MODEL_V2), path)
+        assert path.read_bytes() == MODEL_V2.read_bytes()
+
+    def test_v1_model_file_saves_as_the_v2_bytes(self, tmp_path):
         path = tmp_path / "m.json"
         save_model(load_model(MODEL_V1), path)
-        assert path.read_bytes() == MODEL_V1.read_bytes()
+        assert path.read_bytes() == MODEL_V2.read_bytes()
+
+    def test_v1_and_v2_files_decode_to_equal_arrays(self):
+        old, new = load_model(MODEL_V1), load_model(MODEL_V2)
+        pairs = [(getattr(old.eigenspace, name), getattr(new.eigenspace, name))
+                 for name in ("mean", "eigenvalues", "basis")]
+        pairs += list(zip(old.mlp.weights + old.mlp.biases, new.mlp.weights + new.mlp.biases))
+        for a, b in pairs:
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert b.flags.writeable
 
     def test_config_keys_are_the_config_fields(self, small_model, tmp_path):
         model, data = small_model
@@ -309,15 +335,86 @@ class TestPersistence:
         ("mlp", "epochs_run", 2.5, "epochs_run"),
         ("eigenspace", "basis", [[float("nan")] * 64] * 2, "non-finite"),
         ("config", "extra", 1, "field config must be a JSON object with keys"),
+        # 64 zeros, which a decoder that skips non-alphabet characters would accept
+        ("eigenspace", "mean", {"shape": [64], "f64le": "*" + "A" * 683 + "="}, "not valid base64"),
+        ("eigenspace", "mean", {"shape": [64], "f64le": "AAAAAAAAAAA="}, "8 bytes do not hold"),
+        ("eigenspace", "basis", {"shape": [-2, 64], "f64le": ""}, "non-negative integers"),
+        ("eigenspace", "mean", {"shape": [64], "f64le": "", "dtype": "<f8"}, "keys shape, f64le"),
+        ("mlp", "layer_sizes", [float("inf"), 3, 2], "infinity"),
     ])
     def test_malformed_section_names_file_and_field(self, tmp_path, section, key, value, match):
-        doc = json.loads(MODEL_V1.read_text())
+        # array objects are format 2; the other edits are made to the v1 file, which still loads
+        doc = json.loads((MODEL_V2 if isinstance(value, dict) else MODEL_V1).read_text())
         doc[section][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"model file {path}: field {section}") as info:
             load_model(path)
         assert match in str(info.value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_DROP = object()
+_V2_DOC = json.loads(MODEL_V2.read_text())
+_ARRAYS = [("eigenspace", name) for name in ("mean", "eigenvalues", "basis")] + [
+    ("mlp", name, i) for name in ("weights", "biases") for i in (0, 1)
+]
+_ARRAY_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["shape", "f64le", "dtype"]), _JSON | st.just(_DROP)),
+    st.tuples(st.just("shape"), st.lists(st.integers(-2, 2**70), max_size=3)),
+    st.tuples(st.just("f64le"), st.binary(max_size=40).map(lambda b: base64.b64encode(b).decode())),
+)
+_FIELDS = [(key,) for key in _V2_DOC] + [("extra",)] + [
+    (key, name) for key, section in _V2_DOC.items() if isinstance(section, dict)
+    for name in section
+]
+
+
+def _edit(doc, path, value):
+    """Set (or with _DROP delete) the entry of ``doc`` at the key path ``path``."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is _DROP:
+        doc.pop(last, None)
+    else:
+        doc[last] = value
+
+
+def _loads_or_is_data_error(doc, path):
+    path.write_text(json.dumps(doc))
+    try:
+        load_model(path)
+    except DataError as exc:
+        assert str(exc).startswith(f"model file {path}")
+
+
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestLoadModelFuzz:
+    """Every mutated model file loads or raises DataError; nothing else escapes."""
+
+    @_FUZZ
+    @given(array=st.sampled_from(_ARRAYS), edits=st.lists(_ARRAY_EDITS, min_size=1, max_size=3))
+    def test_mutated_array_object(self, tmp_path, array, edits):
+        doc = json.loads(MODEL_V2.read_text())
+        for key, value in edits:
+            _edit(doc, (*array, key), value)
+        _loads_or_is_data_error(doc, tmp_path / "m.json")
+
+    @_FUZZ
+    @given(path=st.sampled_from(_FIELDS), value=_JSON | st.just(_DROP))
+    def test_mutated_field(self, tmp_path, path, value):
+        doc = json.loads(MODEL_V2.read_text())
+        _edit(doc, path, value)
+        _loads_or_is_data_error(doc, tmp_path / "m.json")
 
 
 class TestConfig:

@@ -17,6 +17,7 @@ from wavefuse.errors import DataError
 from wavefuse.wavelet import (
     DecompositionTree,
     WaveletKind,
+    _operator,
     decompose,
     export_tree,
     filter_bank,
@@ -181,6 +182,19 @@ class TestIdwt2:
             view[...] = grid
         expected = oracle_idwt2(*grids, fb.lo_d, fb.hi_d)
         np.testing.assert_allclose(reconstruct(tree), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("dims, levels", [((2, 2), 1), ((33, 70), 3)])
+    def test_cached_csr_transpose_is_bitwise_the_transpose(self, kind, dims, levels):
+        tree = decompose(np.random.default_rng(17).random(dims), kind, levels)
+        expected = tree.coeffs.copy()
+        rows, cols = expected.shape
+        for level in reversed(range(levels)):
+            block = expected[: rows >> level, : cols >> level]
+            a_r, a_c = (_operator(kind, n).T for n in block.shape)
+            block[...] = (a_c @ np.ascontiguousarray((a_r @ block).T)).T
+        assert _operator(kind, cols, True).format == "csr"
+        np.testing.assert_array_equal(reconstruct(tree), expected[: dims[0], : dims[1]])
 
     def test_roundtrip_db2_small(self):
         img = np.array([[1.0, 2.0], [3.0, 4.0]])
