@@ -47,7 +47,10 @@ def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     tok, end = _next_token(data, pos)
     if not tok.isdigit():
         raise PgmError(f"malformed header: expected {what}, got {tok!r}", pos)
-    return int(tok), end
+    try:
+        return int(tok), end
+    except ValueError:  # more digits than int() converts
+        raise PgmError(f"malformed header: {what} has {len(tok)} digits", pos) from None
 
 
 def load_image(path) -> np.ndarray:
@@ -85,9 +88,18 @@ def load_image(path) -> np.ndarray:
         dtype = ">u2" if maxval > 255 else np.uint8
         samples = np.frombuffer(raster, dtype=dtype, count=count).astype(np.float64)
     else:
+        # each pixel takes a digit and the separator before it; check before allocating
+        if 2 * count > len(data) - pos:
+            raise PgmError(
+                f"truncated pixel data: {count} pixels need at least {2 * count} bytes, "
+                f"got {len(data) - pos}",
+                len(data),
+            )
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
             val, pos = _next_int(data, pos, f"pixel {i}")
+            if val > maxval:  # also keeps a huge value from overflowing the float
+                raise PgmError(f"pixel value exceeds maxval {maxval}", pos)
             values[i] = val
         samples = values
     if samples.max(initial=0) > maxval:

@@ -11,6 +11,8 @@ fixed config and dataset reproduce the trained model bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +31,9 @@ class MlpConfig:
     target_error: float = 1e-3
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        object.__setattr__(self, "layer_sizes", sizes)
+        for name, kind in typing.get_type_hints(MlpConfig).items():
+            object.__setattr__(self, name, typed(name, kind, getattr(self, name)))
+        sizes = self.layer_sizes
         if len(sizes) < 2:
             raise DataError(f"need at least 2 layers, got {sizes}")
         if any(s < 1 for s in sizes):
@@ -41,8 +44,35 @@ class MlpConfig:
             raise DataError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.target_error < 0:
             raise DataError(f"target error must be >= 0, got {self.target_error}")
+
+
+def typed(name: str, kind, value):
+    """``value`` as field ``name`` of type ``kind``, else a DataError naming the field.
+
+    ``kind`` is int, float, ``tuple[int, ...]`` or an Enum. Numbers are never
+    parsed or truncated: ``"3"``, ``true`` and ``2.5`` are no integer, and
+    NaN and infinity are no number.
+    """
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise DataError(f"{name} must be a list of integers, got {value!r}")
+        return tuple(typed(f"{name}[{i}]", int, v) for i, v in enumerate(value))
+    if kind in (int, float):
+        what = "a number" if kind is float else "an integer"
+        number = numbers.Real if kind is float else numbers.Integral
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {str(value).replace('inf', 'infinity')}")
+        if isinstance(value, bool) or not isinstance(value, number):
+            raise DataError(f"{name} must be {what}, got {value!r}")
+        return kind(value)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataError(f"{name} must be one of {[m.value for m in kind]}, got {value!r}") from None
 
 
 @dataclass

@@ -8,10 +8,10 @@ targets keep the sigmoid outputs out of saturation). Evaluation runs test
 pairs through the same chain and reports per-class and overall recognition
 rates plus a confusion grid.
 
-Evaluation can also run in a single-modality baseline mode that feeds one
-channel duplicated (thermal/thermal or visual/visual) through the identical
-fuse-project-predict chain, which makes the benefit of fusing both
-modalities directly measurable against the same trained model.
+Evaluation can also score one sensor on its own: the thermal or visual image
+of each test sample, unfused, goes through the same project-predict chain of
+the fused-trained model. Fusing a channel with itself would give back the
+same image up to rounding, so the wavelet stage is skipped.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import base64
 import inspect
 import json
 import math
-import numbers
 import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -34,7 +33,7 @@ from .eigen import AUTO, EigenspaceModel, fit_eigenspace, project
 from .errors import DataError
 from .fusion import FusionPolicy, FusionRule, fuse_images
 from .imgio import load_image, save_image
-from .mlp import MlpConfig, MlpModel, predict, train
+from .mlp import MlpConfig, MlpModel, predict, train, typed
 from .wavelet import WaveletKind
 
 MODALITIES = ("fused", "thermal", "visual")
@@ -88,10 +87,15 @@ class PipelineConfig:
     def __post_init__(self):
         for name, kind in typing.get_type_hints(PipelineConfig).items():
             object.__setattr__(self, name, _typed(name, kind, getattr(self, name)))
+        if self.levels < 1:
+            raise DataError(f"levels must be >= 1, got {self.levels}")
         if self.pca_k != AUTO and self.pca_k < 1:
             raise DataError(f"pca_k must be >= 1, got {self.pca_k}")
         if self.hidden < 1:
             raise DataError(f"hidden size must be >= 1, got {self.hidden}")
+        if not 0.0 < self.split_fraction < 1.0:
+            raise DataError(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
+        self.mlp_config((1, self.hidden, 1))  # MlpConfig's checks of the training fields
 
     @property
     def policy(self) -> FusionPolicy:
@@ -104,22 +108,14 @@ class PipelineConfig:
 
 
 def _typed(name: str, kind, value):
-    """``value`` as field ``name`` of type ``kind``, else a DataError naming the field.
-
-    Numbers are never parsed or truncated: ``"3"``, ``true`` and ``2.5`` are no integer.
-    """
-    if kind == int | str and isinstance(value, str) and value.lower() == AUTO:
+    """mlp's ``typed``, plus ``pca_k``: an integer or ``"auto"`` in any case."""
+    if kind != int | str:
+        return typed(name, kind, value)
+    if isinstance(value, str) and value.lower() == AUTO:
         return AUTO
-    if kind in (int, float, int | str):
-        what = {float: "a number", int: "an integer"}.get(kind, f"an integer or '{AUTO}'")
-        number = numbers.Real if kind is float else numbers.Integral
-        if isinstance(value, bool) or not isinstance(value, number):
-            raise DataError(f"{name} must be {what}, got {value!r}")
-        return float(value) if kind is float else int(value)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise DataError(f"{name} must be one of {[m.value for m in kind]}, got {value!r}") from None
+    if isinstance(value, str):
+        raise DataError(f"{name} must be an integer or '{AUTO}', got {value!r}")
+    return typed(name, int, value)
 
 
 @dataclass
@@ -223,12 +219,11 @@ def ingest_dataset(root, split=0.5, seed: int = 0) -> Dataset:
     return Dataset(classes=classes, unpaired=unpaired)
 
 
-def _rendered_pair(sample: Sample, modality: str) -> tuple[np.ndarray, np.ndarray]:
-    if modality == "thermal":
-        return sample.thermal, sample.thermal
-    if modality == "visual":
-        return sample.visual, sample.visual
-    return sample.thermal, sample.visual
+def _image(cfg: PipelineConfig, sample: Sample, modality: str) -> np.ndarray:
+    """The image a sample shows the eigenspace: its fused pair, or one sensor's own image."""
+    if modality == "fused":
+        return fuse_images(sample.thermal, sample.visual, cfg.wavelet, cfg.levels, cfg.policy)
+    return getattr(sample, modality)
 
 
 def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> PipelineModel:
@@ -244,7 +239,7 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
         if not chosen:
             raise DataError(f"class {rec.label} has no training samples")
         for s in chosen:
-            fused.append(fuse_images(s.thermal, s.visual, cfg.wavelet, cfg.levels, cfg.policy))
+            fused.append(_image(cfg, s, "fused"))
             one_hot = np.full(len(labels), 0.1)
             one_hot[ci] = 0.9
             targets.append(one_hot)
@@ -261,10 +256,10 @@ def evaluate(
 ) -> EvaluationReport:
     """Score one split of a dataset against a trained model.
 
-    ``modality`` selects what is fed to the fusion stage: the actual pair,
-    or one channel duplicated as a single-modality baseline. ``split`` may
-    be ``"train"`` for a sanity run on the training samples; the report
-    labels the mode either way.
+    ``modality`` picks the image each sample is scored on: the fused pair, or
+    one sensor's own image as a single-sensor baseline for the same model.
+    ``split`` may be ``"train"`` for a sanity run on the training samples;
+    the report labels the mode either way.
     """
     if modality not in MODALITIES:
         raise DataError(f"unknown modality {modality!r}, expected one of {MODALITIES}")
@@ -280,8 +275,7 @@ def evaluate(
         for s in rec.samples:
             if s.train != (split == "train"):
                 continue
-            t, v = _rendered_pair(s, modality)
-            img = fuse_images(t, v, model.config.wavelet, model.config.levels, model.config.policy)
+            img = _image(model.config, s, modality)
             predicted, _ = predict(model.mlp, project(model.eigenspace, img))
             confusion[ci, predicted] += 1
     total = int(confusion.sum())
@@ -471,8 +465,9 @@ def load_model(path) -> PipelineModel:
     in 1, base64 float64 bytes in 2. Errors name the file and the field.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # nesting deeper than the parser's stack
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    # RecursionError: nesting deeper than the parser's stack
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         if not isinstance(doc, dict):

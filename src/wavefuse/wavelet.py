@@ -187,11 +187,18 @@ def decompose(
     With ``pad=True`` (default) the image is first padded by edge
     replication so its dims divide 2^levels; the pre-padding dims are
     recorded so reconstruction can crop back. With ``pad=False`` the dims
-    must already be divisible.
+    must already be divisible. The 2^levels block may be at most 4x the
+    larger image dim, so padding never takes a dim past 4x the larger one.
     """
     if levels < 1:
         raise DataError(f"levels must be >= 1, got {levels}")
     img = np.asarray(img, dtype=np.float64)
+    # 2^levels <= 4m exactly when levels < bit_length(4m); 2^levels itself is never built
+    if img.ndim == 2 and levels >= (4 * max(img.shape)).bit_length():
+        raise DataError(
+            f"levels {levels} too deep for a {img.shape[0]}x{img.shape[1]} image: "
+            f"2^levels may be at most 4x the larger dim, {4 * max(img.shape)}"
+        )
     if not np.isfinite(img).all():
         raise DataError("non-finite entries in image")
     padded, original_dims = pad_to_block(img, 2**levels) if pad else (img, img.shape)

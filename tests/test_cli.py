@@ -165,6 +165,7 @@ class TestTrainEvaluate:
 
     @pytest.mark.parametrize("field, value", [
         ("config", [1]), ("config", "x"), ("levels", "x"), ("levels", 2.5), ("levels", True),
+        ("levels", 0), ("split_fraction", 0.0),
     ])
     def test_malformed_model_file_names_file_and_field(self, dataset, model_path, tmp_path,
                                                        capsys, field, value):
@@ -201,6 +202,11 @@ class TestTrainEvaluate:
             PipelineConfig(),
             PipelineConfig("haar", 2, "average", "maxabs", 4, 7, 0.02, 0.5, 9, 1e-3, 3, 0.25),
         ]
+
+    def test_bad_setting_fails_before_the_dataset_is_read(self, tmp_path, capsys):
+        assert main(["train", "--data", str(tmp_path / "missing"), "--lr", "-1",
+                     "--model", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == "error: learning rate must be positive, got -1.0\n"
 
     def test_bad_split_fraction_is_data_error(self, dataset, tmp_path, capsys):
         assert main(["train", "--data", str(dataset), "--split", "1.0",

@@ -1,7 +1,11 @@
 """PGM reading/writing, normalization, padding, and cropping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wavefuse.errors import DataError, PgmError
 from wavefuse.imgio import crop, load_image, pad_to_block, save_image
@@ -56,6 +60,91 @@ class TestLoadImage:
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_image(tmp_path / "nope.pgm")
+
+    @pytest.mark.parametrize("header", [b"P2 3000 3000 255\n", b"P2 100000 100000 255\n"],
+                             ids=["3000x3000", "100000x100000"])
+    def test_p2_pixel_count_checked_before_allocating(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + b"0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmError, match="truncated pixel data"):
+                load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_p2_with_tight_separators_loads(self, tmp_path):
+        # two bytes per pixel is the least a P2 raster can take
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2 2 2 9 1 2 3 9")
+        np.testing.assert_allclose(load_image(path) * 9, [[1, 2], [3, 9]])
+
+    @pytest.mark.parametrize("body", [b"P2 1 1 5 7", b"P2 1 1 5 " + b"9" * 400],
+                             ids=["small", "beyond-float"])
+    def test_p2_pixel_over_maxval_rejected(self, tmp_path, body):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(body)
+        with pytest.raises(PgmError, match="exceeds maxval"):
+            load_image(path)
+
+    def test_header_number_too_long_for_int(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5 " + b"1" * 5000 + b" 1 255\n\x00")
+        with pytest.raises(PgmError, match="width has 5000 digits"):
+            load_image(path)
+
+
+_SMALL_FILES = [
+    b"P2\n# c\n3 2\n255\n0 51 102\n153 204 255\n",
+    b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]),
+    b"P5 2 1 65535\n" + bytes([0, 1, 255, 255]),
+]
+_MUTATION = st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 64),
+                      st.binary(min_size=1, max_size=4))
+_FUZZ = settings(max_examples=300, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _loads_or_is_pgm_error(path, data):
+    path.write_bytes(data)
+    try:
+        img = load_image(path)
+    except (PgmError, DataError):
+        return
+    assert img.ndim == 2 and img.dtype == np.float64
+    assert 0.0 <= img.min() and img.max() <= 1.0
+
+
+class TestLoadImageFuzz:
+    """Every byte string loads as an image in [0, 1] or raises PgmError/DataError."""
+
+    @_FUZZ
+    @given(data=st.binary(max_size=64))
+    def test_any_bytes(self, tmp_path, data):
+        _loads_or_is_pgm_error(tmp_path / "f.pgm", data)
+
+    @_FUZZ
+    @given(data=st.sampled_from([b"P2", b"P5"]).flatmap(
+        lambda magic: st.lists(st.sampled_from([b" ", b"\n", b"#", b"0", b"7", b"255", b"99999"]),
+                               max_size=12).map(lambda parts: magic + b" ".join(parts))))
+    def test_header_like_bytes(self, tmp_path, data):
+        _loads_or_is_pgm_error(tmp_path / "f.pgm", data)
+
+    @_FUZZ
+    @given(base=st.sampled_from(_SMALL_FILES), edits=st.lists(_MUTATION, min_size=1, max_size=4))
+    def test_mutated_valid_file(self, tmp_path, base, edits):
+        data = bytearray(base)
+        for op, at, chunk in edits:
+            at = min(at, len(data))
+            if op == "set":
+                data[at : at + len(chunk)] = chunk
+            elif op == "insert":
+                data[at:at] = chunk
+            else:
+                del data[at : at + len(chunk)]
+        _loads_or_is_pgm_error(tmp_path / "f.pgm", bytes(data))
 
 
 class TestSaveImage:

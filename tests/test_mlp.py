@@ -275,6 +275,25 @@ class TestConfigValidation:
         with pytest.raises(DataError, match="learning rate"):
             MlpConfig(layer_sizes=(2, 1), learning_rate=0.0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("layer_sizes", (2.7, 3.9, 2.2), r"layer_sizes\[0\] must be an integer, got 2.7"),
+        ("layer_sizes", (2, True), r"layer_sizes\[1\] must be an integer"),
+        ("layer_sizes", 3, "layer_sizes must be a list of integers"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("learning_rate", "0.1", "learning_rate must be a number, got '0.1'"),
+        ("learning_rate", float("nan"), "learning_rate must be finite"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_fields_type_checked_without_truncation(self, field, value, match):
+        kwargs = {"layer_sizes": (2, 1), field: value}
+        with pytest.raises(DataError, match=match):
+            MlpConfig(**kwargs)
+
+    def test_numbers_normalised(self):
+        cfg = MlpConfig(layer_sizes=[np.int64(3), 2], learning_rate=1, epochs=np.int32(4))
+        assert cfg.layer_sizes == (3, 2) and all(type(n) is int for n in cfg.layer_sizes)
+        assert type(cfg.learning_rate) is float and type(cfg.epochs) is int
+
     def test_parameter_shape_chain_enforced(self):
         with pytest.raises(DataError, match="chain"):
             MlpModel(

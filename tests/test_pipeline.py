@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from wavefuse import pipeline
+from wavefuse.eigen import project
 from wavefuse.errors import DataError
-from wavefuse.fusion import FusionPolicy, FusionRule
-from wavefuse.mlp import MlpConfig
+from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
+from wavefuse.mlp import MlpConfig, predict
 from wavefuse.imgio import load_image, save_image
 from wavefuse.pipeline import (
     PipelineConfig,
@@ -165,6 +168,35 @@ class TestEvaluate:
         with pytest.raises(DataError, match="modality"):
             evaluate(model, data, modality="sonar")
 
+    @pytest.mark.parametrize("modality, calls_per_sample", [
+        ("fused", 1), ("thermal", 0), ("visual", 0),
+    ])
+    def test_only_the_fused_modality_runs_fusion(self, small_model, monkeypatch, modality,
+                                                 calls_per_sample):
+        model, data = small_model
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fuse_images(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fuse_images", counted)
+        report = evaluate(model, data, modality=modality)
+        assert len(calls) == calls_per_sample * report.overall_tested == calls_per_sample * 12
+
+    @pytest.mark.parametrize("modality", ["thermal", "visual"])
+    def test_sensor_image_predicts_as_its_self_fusion(self, small_model, modality):
+        # fusing an image with itself gives it back up to rounding, so skipping
+        # the fusion must not move any prediction
+        model, data = small_model
+        cfg = model.config
+        for rec in data.classes:
+            for s in rec.samples:
+                raw = getattr(s, modality)
+                self_fused = fuse_images(raw, raw, cfg.wavelet, cfg.levels, cfg.policy)
+                assert (predict(model.mlp, project(model.eigenspace, raw))[0]
+                        == predict(model.mlp, project(model.eigenspace, self_fused))[0])
+
     def test_train_split_sanity_mode_labeled(self, small_model):
         model, data = small_model
         report = evaluate(model, data, split="train")
@@ -273,6 +305,12 @@ class TestPersistence:
         with pytest.raises(DataError, match="JSON"):
             load_model(path)
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(DataError, match=f"model file {path} is not valid JSON"):
+            load_model(path)
+
     def test_deeply_nested_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -341,6 +379,12 @@ class TestPersistence:
         ("eigenspace", "basis", {"shape": [-2, 64], "f64le": ""}, "non-negative integers"),
         ("eigenspace", "mean", {"shape": [64], "f64le": "", "dtype": "<f8"}, "keys shape, f64le"),
         ("mlp", "layer_sizes", [float("inf"), 3, 2], "infinity"),
+        ("mlp", "layer_sizes", [2.7, 3.9, 2.2], "layer_sizes[0] must be an integer"),
+        ("config", "levels", 0, "levels must be >= 1"),
+        ("config", "split_fraction", 1.5, "split_fraction must lie in (0, 1)"),
+        ("config", "learning_rate", -1.0, "learning rate must be positive"),
+        ("config", "momentum", 1.0, "momentum must lie in [0, 1)"),
+        ("config", "seed", -1, "seed must be >= 0"),
     ])
     def test_malformed_section_names_file_and_field(self, tmp_path, section, key, value, match):
         # array objects are format 2; the other edits are made to the v1 file, which still loads
@@ -450,3 +494,22 @@ class TestConfig:
     def test_bad_values_name_the_field(self, field, value):
         with pytest.raises(DataError, match=field):
             PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("levels", 0, "levels must be >= 1"),
+        ("split_fraction", 0.0, "split_fraction must lie in"),
+        ("split_fraction", 1.0, "split_fraction must lie in"),
+        ("learning_rate", -1.0, "learning rate must be positive"),
+        ("learning_rate", float("nan"), "learning_rate must be finite, got nan"),
+        ("target_error", float("inf"), "target_error must be finite, got infinity"),
+        ("momentum", 1.0, "momentum must lie in"),
+        ("epochs", 0, "epochs must be >= 1"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_out_of_range_values_rejected(self, field, value, match):
+        with pytest.raises(DataError, match=re.escape(match)):
+            PipelineConfig(**{field: value})
+
+    def test_pca_k_message_names_auto(self):
+        with pytest.raises(DataError, match="pca_k must be an integer or 'auto', got 'all'"):
+            PipelineConfig(pca_k="all")

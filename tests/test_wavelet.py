@@ -272,6 +272,18 @@ class TestDecomposeReconstruct:
         with pytest.raises(DataError):
             decompose(np.ones((8, 8)), WaveletKind.HAAR, 0)
 
+    @pytest.mark.parametrize("dims, deepest", [((8, 8), 5), ((16, 16), 6), ((5, 17), 6)])
+    def test_levels_bounded_by_four_times_the_larger_dim(self, dims, deepest):
+        img = np.ones(dims)
+        assert decompose(img, WaveletKind.HAAR, deepest).coeffs.shape[1] == 2**deepest
+        with pytest.raises(DataError, match="too deep"):
+            decompose(img, WaveletKind.HAAR, deepest + 1)
+
+    @pytest.mark.parametrize("levels", [64, 10**9, 2**100])
+    def test_extreme_levels_rejected_before_any_padding(self, levels):
+        with pytest.raises(DataError, match=f"levels {levels} too deep for a 16x16 image"):
+            decompose(np.ones((16, 16)), WaveletKind.DB2, levels)
+
     def test_inconsistent_tree_rejected(self):
         tree = decompose(np.ones((16, 16)), WaveletKind.HAAR, 2)
         with pytest.raises(DataError, match="inconsistent"):
