@@ -33,34 +33,44 @@ def _skip_separators(data: bytes, pos: int) -> int:
     return pos
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytes, pos: int, part: str = "header") -> tuple[bytes, int]:
     pos = _skip_separators(data, pos)
     if pos >= len(data):
-        raise PgmError("unexpected end of header", pos)
+        raise PgmError(f"unexpected end of {part}", pos)
     end = pos
     while end < len(data) and data[end] not in _WHITESPACE and data[end] != 0x23:
         end += 1
     return data[pos:end], end
 
 
-def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    tok, end = _next_token(data, pos)
+def _next_int(data: bytes, pos: int, what: str, part: str = "header") -> tuple[int, int]:
+    tok, end = _next_token(data, pos, part)
+    start = end - len(tok)  # the offset of the token, not of the separators before it
     if not tok.isdigit():
-        raise PgmError(f"malformed header: expected {what}, got {tok!r}", pos)
+        raise PgmError(f"malformed {part}: expected {what}, got {tok!r}", start)
     try:
         return int(tok), end
     except ValueError:  # more digits than int() converts
-        raise PgmError(f"malformed header: {what} has {len(tok)} digits", pos) from None
+        raise PgmError(f"malformed {part}: {what} has {len(tok)} digits", start) from None
 
 
 def load_image(path) -> np.ndarray:
     """Read a PGM file (P2 or P5) into a float64 array scaled to [0, 1].
 
-    Raises FileNotFoundError for missing files and PgmError (with a byte
-    offset where detectable) for unsupported magic numbers, malformed
-    headers, or truncated pixel data.
+    Raises FileNotFoundError for missing files and PgmError for unsupported
+    magic numbers, malformed headers, or truncated pixel data. A PgmError's
+    message starts with the file's path and ends with the byte offset where
+    parsing failed, where detectable.
     """
     data = Path(path).read_bytes()
+    try:
+        return _decode(data)
+    except DataError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _decode(data: bytes) -> np.ndarray:
     magic, pos = _next_token(data, 0) if data else (b"", 0)
     if magic not in (b"P2", b"P5"):
         raise PgmError(f"unsupported magic number {magic!r} (only P2/P5 grayscale PGM)", 0)
@@ -97,7 +107,7 @@ def load_image(path) -> np.ndarray:
             )
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
-            val, pos = _next_int(data, pos, f"pixel {i}")
+            val, pos = _next_int(data, pos, f"pixel {i}", "pixel data")
             if val > maxval:  # also keeps a huge value from overflowing the float
                 raise PgmError(f"pixel value exceeds maxval {maxval}", pos)
             values[i] = val

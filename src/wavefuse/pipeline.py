@@ -1,12 +1,15 @@
 """End-to-end recognition pipeline over paired thermal/visual images.
 
 A dataset is a directory of class subdirectories, each holding PGM pairs
-named ``<id>_thermal.pgm`` and ``<id>_visual.pgm``. Training fuses every
-training pair, fits an eigenface basis on the fused images, projects them,
-and trains an MLP on the features against 0.1/0.9 one-hot targets (soft
-targets keep the sigmoid outputs out of saturation). Evaluation runs test
-pairs through the same chain and reports per-class and overall recognition
-rates plus a confusion grid.
+named ``<id>_thermal.pgm`` and ``<id>_visual.pgm``. Ingesting it only pairs
+the file names and assigns the split; pixels are read where an image is
+used, so training reads the training pairs and evaluation reads the test
+images of the modality it scores. Training fuses every training pair, fits
+an eigenface basis on the fused images, projects them, and trains an MLP on
+the features against 0.1/0.9 one-hot targets (soft targets keep the sigmoid
+outputs out of saturation). Evaluation runs test pairs through the same
+chain and reports per-class and overall recognition rates plus a confusion
+grid.
 
 Evaluation can also score one sensor on its own: the thermal or visual image
 of each test sample, unfused, goes through the same project-predict chain of
@@ -45,9 +48,11 @@ _TEXTURE_SIGMA = 0.02
 
 @dataclass
 class Sample:
+    """One co-registered pair, by the paths of its two PGM files."""
+
     id: str
-    thermal: np.ndarray
-    visual: np.ndarray
+    thermal: Path
+    visual: Path
     train: bool = False
 
 
@@ -162,68 +167,50 @@ class EvaluationReport:
     config: PipelineConfig
 
 
-def ingest_dataset(root, split=0.5, seed: int = 0) -> Dataset:
-    """Scan a dataset directory and assign each sample to train or test.
+def ingest_dataset(root, split: float = 0.5, seed: int = 0) -> Dataset:
+    """Pair a dataset directory's file names and assign each pair to train or test.
 
-    ``split`` is either a train fraction in (0, 1), assigned per class from
-    a generator seeded with ``seed``, or a mapping from class label to the
-    collection of train sample ids (every other id becomes a test sample).
-    Files lacking their partner modality are skipped and listed in
-    ``Dataset.unpaired``.
+    No pixels are read here: a sample holds its two paths, and each command
+    reads only the images it uses. ``split`` is the train fraction in (0, 1),
+    assigned per class from a generator seeded with ``seed``. Files lacking
+    their partner modality are skipped and listed in ``Dataset.unpaired``.
     """
+    if not 0.0 < typed("split", float, split) < 1.0:
+        raise DataError(f"split fraction must lie in (0, 1), got {split}")
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} is not a directory")
     classes: list[ClassRecord] = []
     unpaired: list[str] = []
+    rng = np.random.default_rng(seed)
     for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         thermal = {p.name[: -len("_thermal.pgm")]: p for p in class_dir.glob("*_thermal.pgm")}
         visual = {p.name[: -len("_visual.pgm")]: p for p in class_dir.glob("*_visual.pgm")}
         for sid in sorted(set(thermal) ^ set(visual)):
             path = thermal.get(sid) or visual[sid]
             unpaired.append(str(path.relative_to(root)))
-        samples = []
-        for sid in sorted(set(thermal) & set(visual)):
-            t = load_image(thermal[sid])
-            v = load_image(visual[sid])
-            if t.shape != v.shape:
-                raise DataError(
-                    f"pair {class_dir.name}/{sid}: thermal dims {t.shape} differ "
-                    f"from visual dims {v.shape}"
-                )
-            samples.append(Sample(id=sid, thermal=t, visual=v))
+        paired = sorted(set(thermal) & set(visual))
+        samples = [Sample(sid, thermal[sid], visual[sid]) for sid in paired]
         if samples:
+            for pos in rng.permutation(len(samples))[: int(split * len(samples) + 0.5)]:
+                samples[pos].train = True
             classes.append(ClassRecord(label=class_dir.name, samples=samples))
     if not classes:
         raise DataError(f"no classes with usable samples found under {root}")
-
-    if isinstance(split, (int, float)):
-        fraction = float(split)
-        if not 0.0 < fraction < 1.0:
-            raise DataError(f"split fraction must lie in (0, 1), got {split}")
-        rng = np.random.default_rng(seed)
-        for rec in classes:
-            n_train = int(fraction * len(rec.samples) + 0.5)
-            for pos in rng.permutation(len(rec.samples))[:n_train]:
-                rec.samples[pos].train = True
-    else:
-        for rec in classes:
-            wanted = set(split.get(rec.label, ()))
-            unknown = wanted - {s.id for s in rec.samples}
-            if unknown:
-                raise DataError(
-                    f"train ids not present in class {rec.label}: {sorted(unknown)}"
-                )
-            for s in rec.samples:
-                s.train = s.id in wanted
     return Dataset(classes=classes, unpaired=unpaired)
 
 
 def _image(cfg: PipelineConfig, sample: Sample, modality: str) -> np.ndarray:
-    """The image a sample shows the eigenspace: its fused pair, or one sensor's own image."""
-    if modality == "fused":
-        return fuse_images(sample.thermal, sample.visual, cfg.wavelet, cfg.levels, cfg.policy)
-    return getattr(sample, modality)
+    """Read the image a sample shows the eigenspace: its fused pair, or one sensor's own image."""
+    if modality != "fused":
+        return load_image(getattr(sample, modality))
+    thermal, visual = load_image(sample.thermal), load_image(sample.visual)
+    if thermal.shape != visual.shape:
+        raise DataError(
+            f"pair {sample.thermal.parent.name}/{sample.id}: thermal dims {thermal.shape} "
+            f"differ from visual dims {visual.shape}"
+        )
+    return fuse_images(thermal, visual, cfg.wavelet, cfg.levels, cfg.policy)
 
 
 def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> PipelineModel:

@@ -151,6 +151,8 @@ class DecompositionTree:
         if (
             self.coeffs.ndim != 2
             or self.levels < 1
+            # a dim divisible by 2^levels is at least 2^levels; 2^levels is not built first
+            or self.levels >= min(shape).bit_length()
             or shape[0] % 2**self.levels
             or shape[1] % 2**self.levels
             or self.original_dims[0] > shape[0]

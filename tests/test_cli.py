@@ -10,7 +10,7 @@ import pytest
 from wavefuse.cli import main
 from wavefuse.errors import NumericError
 from wavefuse.imgio import load_image, save_image
-from wavefuse.pipeline import PipelineConfig
+from wavefuse.pipeline import PipelineConfig, ingest_dataset
 
 
 @pytest.fixture()
@@ -89,6 +89,15 @@ class TestFuse:
         assert main(["fuse", "--thermal", str(t_path), "--visual", str(v_path),
                      "--approx-rule", "average", "--detail-rule", "maxabs",
                      "--out", str(out)]) == 0
+
+    def test_malformed_file_is_named(self, pair, tmp_path, capsys):
+        t_path, _ = pair
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 x\n255\n\x01\x02")
+        assert main(["fuse", "--thermal", str(t_path), "--visual", str(bad),
+                     "--out", str(tmp_path / "f.pgm")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: malformed header: expected height, got b'x' (byte offset 5)\n")
 
     def test_mismatched_dims_is_data_error(self, pair, tmp_path, capsys):
         t_path, _ = pair
@@ -211,6 +220,19 @@ class TestTrainEvaluate:
     def test_bad_split_fraction_is_data_error(self, dataset, tmp_path, capsys):
         assert main(["train", "--data", str(dataset), "--split", "1.0",
                      "--model", str(tmp_path / "m.json")]) == 2
+
+    def test_malformed_training_file_is_named(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--per-class", "2",
+                     "--rows", "16", "--cols", "16", "--out", str(out)]) == 0
+        # one sample per class is trained on; break the first one's thermal file
+        trained = next(s for s in ingest_dataset(out, split=0.5, seed=0).classes[0].samples
+                       if s.train)
+        trained.thermal.write_bytes(b"P5\n2 x\n255\n\x01\x02")
+        assert main(["train", "--data", str(out), "--model", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {trained.thermal}: malformed header: expected height, got b'x' "
+            "(byte offset 5)\n")
 
     def test_unpaired_file_warns_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "data"

@@ -1,5 +1,6 @@
 """PGM reading/writing, normalization, padding, and cropping."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,22 @@ class TestLoadImage:
         with pytest.raises(PgmError, match="width has 5000 digits"):
             load_image(path)
 
+    def test_bad_p2_raster_token_is_a_pixel_data_error(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P2 1 1 5 x")
+        with pytest.raises(PgmError, match=re.escape(
+                f"{path}: malformed pixel data: expected pixel 0, got b'x' (byte offset 9)")):
+            load_image(path)
+
+    @pytest.mark.parametrize("body", [b"", b"P5\n2 x\n255\n\x01\x02", b"P5\n2 2\n255\n\x01\x02",
+                                      b"P2 1 1 5 7"], ids=["empty", "header", "truncated", "maxval"])
+    def test_errors_start_with_the_path(self, tmp_path, body):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(body)
+        with pytest.raises(PgmError) as info:
+            load_image(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 _SMALL_FILES = [
     b"P2\n# c\n3 2\n255\n0 51 102\n153 204 255\n",
@@ -111,7 +128,8 @@ def _loads_or_is_pgm_error(path, data):
     path.write_bytes(data)
     try:
         img = load_image(path)
-    except (PgmError, DataError):
+    except (PgmError, DataError) as exc:
+        assert str(exc).startswith(f"{path}: ")
         return
     assert img.ndim == 2 and img.dtype == np.float64
     assert 0.0 <= img.min() and img.max() <= 1.0

@@ -38,6 +38,18 @@ MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
 MODEL_V2 = Path(__file__).parent / "data" / "model_v2.json"
 
 
+def _count_reads(monkeypatch) -> list:
+    """Record the path of every image the pipeline module reads from now on."""
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load_image(path)
+
+    monkeypatch.setattr(pipeline, "load_image", counted)
+    return reads
+
+
 @pytest.fixture(scope="module")
 def small_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
@@ -67,15 +79,15 @@ class TestIngest:
             assert flags_a == flags_b
             assert sum(flags_a) == 3
 
-    def test_explicit_split_lists(self, small_root):
-        data = ingest_dataset(small_root, split={"class00": ["00", "01"]})
-        by_label = {rec.label: rec for rec in data.classes}
-        assert sorted(s.id for s in by_label["class00"].samples if s.train) == ["00", "01"]
-        assert all(not s.train for s in by_label["class01"].samples)
+    def test_samples_hold_the_pair_paths(self, small_root):
+        sample = ingest_dataset(small_root, split=0.5, seed=0).classes[1].samples[2]
+        assert sample.thermal == small_root / "class01" / "02_thermal.pgm"
+        assert sample.visual == small_root / "class01" / "02_visual.pgm"
 
-    def test_explicit_split_unknown_id_rejected(self, small_root):
-        with pytest.raises(DataError, match="not present"):
-            ingest_dataset(small_root, split={"class00": ["zz"]})
+    def test_no_pixels_are_read(self, small_root, monkeypatch):
+        reads = _count_reads(monkeypatch)
+        ingest_dataset(small_root, split=0.5, seed=0)
+        assert reads == []
 
     def test_unpaired_files_listed_and_skipped(self, tmp_path):
         cdir = tmp_path / "a"
@@ -98,17 +110,13 @@ class TestIngest:
         with pytest.raises(DataError, match="no classes"):
             ingest_dataset(tmp_path, split=0.5, seed=0)
 
-    def test_pair_dim_mismatch_rejected(self, tmp_path):
-        cdir = tmp_path / "a"
-        cdir.mkdir()
-        save_image(np.full((8, 8), 0.5), cdir / "x_thermal.pgm")
-        save_image(np.full((8, 10), 0.5), cdir / "x_visual.pgm")
-        with pytest.raises(DataError, match="dims"):
-            ingest_dataset(tmp_path, split=0.5, seed=0)
-
     def test_bad_fraction_rejected(self, small_root):
         with pytest.raises(DataError, match="fraction"):
             ingest_dataset(small_root, split=1.0)
+
+    def test_split_is_a_fraction_only(self, small_root):
+        with pytest.raises(DataError, match="split must be a number"):
+            ingest_dataset(small_root, split={"class00": ["00", "01"]})
 
 
 class TestTrainPipeline:
@@ -126,9 +134,31 @@ class TestTrainPipeline:
             train_pipeline(data, SMALL_CFG)
 
     def test_class_without_training_samples_rejected(self, small_root):
-        data = ingest_dataset(small_root, split={"class00": ["00"]})
-        with pytest.raises(DataError, match="training samples"):
+        data = ingest_dataset(small_root, split=0.5, seed=1)
+        for s in data.classes[1].samples:
+            s.train = False
+        with pytest.raises(DataError, match="class class01 has no training samples"):
             train_pipeline(data, SMALL_CFG)
+
+    def test_pair_dim_mismatch_rejected(self, tmp_path):
+        for label, visual_dims in (("a", (8, 10)), ("b", (8, 8))):
+            cdir = tmp_path / label
+            cdir.mkdir()
+            save_image(np.full((8, 8), 0.5), cdir / "x_thermal.pgm")
+            save_image(np.full(visual_dims, 0.5), cdir / "x_visual.pgm")
+        data = ingest_dataset(tmp_path, split=0.5, seed=0)
+        assert data.classes[0].samples[0].train  # one sample per class: all are trained on
+        with pytest.raises(DataError, match=re.escape(
+                "pair a/x: thermal dims (8, 8) differ from visual dims (8, 10)")):
+            train_pipeline(data, SMALL_CFG)
+
+    def test_reads_each_training_pair_once(self, small_root, monkeypatch):
+        data = ingest_dataset(small_root, split=0.5, seed=1)
+        reads = _count_reads(monkeypatch)
+        train_pipeline(data, PipelineConfig(levels=3, epochs=5, hidden=4))
+        assert reads == [path for rec in data.classes for s in rec.samples if s.train
+                         for path in (s.thermal, s.visual)]
+        assert len(reads) == 24  # 2 per training pair
 
     def test_fixed_pca_k_is_respected(self, small_root):
         data = ingest_dataset(small_root, split=0.5, seed=1)
@@ -184,6 +214,18 @@ class TestEvaluate:
         report = evaluate(model, data, modality=modality)
         assert len(calls) == calls_per_sample * report.overall_tested == calls_per_sample * 12
 
+    @pytest.mark.parametrize("modality, sensors", [
+        ("fused", ("thermal", "visual")), ("thermal", ("thermal",)), ("visual", ("visual",)),
+    ], ids=["fused", "thermal", "visual"])
+    def test_reads_only_the_scored_test_images(self, small_model, monkeypatch, modality,
+                                               sensors):
+        model, data = small_model
+        reads = _count_reads(monkeypatch)
+        report = evaluate(model, data, modality=modality)
+        assert reads == [getattr(s, sensor) for rec in data.classes for s in rec.samples
+                         if not s.train for sensor in sensors]
+        assert len(reads) == len(sensors) * report.overall_tested == len(sensors) * 12
+
     @pytest.mark.parametrize("modality", ["thermal", "visual"])
     def test_sensor_image_predicts_as_its_self_fusion(self, small_model, modality):
         # fusing an image with itself gives it back up to rounding, so skipping
@@ -192,7 +234,7 @@ class TestEvaluate:
         cfg = model.config
         for rec in data.classes:
             for s in rec.samples:
-                raw = getattr(s, modality)
+                raw = load_image(getattr(s, modality))
                 self_fused = fuse_images(raw, raw, cfg.wavelet, cfg.levels, cfg.policy)
                 assert (predict(model.mlp, project(model.eigenspace, raw))[0]
                         == predict(model.mlp, project(model.eigenspace, self_fused))[0])
@@ -205,9 +247,10 @@ class TestEvaluate:
 
     def test_empty_test_split_rejected(self, small_root, small_model):
         model, _ = small_model
-        all_ids = [f"{i:02d}" for i in range(6)]
-        data = ingest_dataset(small_root, split={rec: all_ids for rec in
-                                                 ("class00", "class01", "class02", "class03")})
+        data = ingest_dataset(small_root, split=0.5, seed=1)
+        for rec in data.classes:
+            for s in rec.samples:
+                s.train = True
         with pytest.raises(DataError, match="empty"):
             evaluate(model, data)
 

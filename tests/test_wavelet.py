@@ -9,6 +9,7 @@ mismatch against linear algebra done a completely different way.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,12 @@ class TestDecomposeReconstruct:
             DecompositionTree(tree.wavelet, tree.coeffs, 5, tree.original_dims)
         with pytest.raises(DataError, match="inconsistent"):
             DecompositionTree(tree.wavelet, tree.coeffs, tree.levels, (17, 16))
+
+    def test_huge_tree_levels_rejected_before_two_to_the_levels_is_built(self):
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="inconsistent"):
+            DecompositionTree(WaveletKind.HAAR, np.zeros((4, 4)), 10**9, (4, 4))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestExportTree:
