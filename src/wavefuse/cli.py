@@ -2,7 +2,8 @@
 
 Subcommands: decompose, fuse, synth, train, evaluate. Exit codes: 0 on
 success, 1 on usage errors, 2 on data errors (bad files, bad dims, bad
-dataset layout), 3 on numeric failure (training divergence).
+dataset layout, a size too large to allocate), 3 on numeric failure
+(training divergence).
 """
 
 from __future__ import annotations
@@ -131,6 +132,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_fuse(args) -> int:
     thermal = load_image(args.thermal)
     visual = load_image(args.visual)
+    if thermal.shape != visual.shape:
+        raise DataError(
+            f"thermal {args.thermal} dims {thermal.shape} differ from "
+            f"visual {args.visual} dims {visual.shape}"
+        )
     policy = FusionPolicy(FusionRule(args.approx_rule), FusionRule(args.detail_rule))
     fused = fuse_images(thermal, visual, WaveletKind(args.wavelet), args.levels, policy)
     save_image(fused, args.out)
@@ -186,7 +192,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -121,8 +121,8 @@ def loss_and_gradients(model: MlpModel, x, target):
     """Per-sample squared error and its analytic gradients.
 
     Returns (loss, weight gradients, bias gradients) where loss is
-    1/2 * sum((y - t)^2). ``train`` inlines the same computation; this is
-    the form the gradient checks test.
+    1/2 * sum((y - t)^2). It runs ``train``'s step, so the gradient checks
+    test the code that trains.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (model.config.layer_sizes[-1],):
@@ -130,19 +130,26 @@ def loss_and_gradients(model: MlpModel, x, target):
             f"target length {target.shape} does not match output size "
             f"{model.config.layer_sizes[-1]}"
         )
+    grads_w = [np.empty_like(w) for w in model.weights]
+    loss, grads_b = _backprop(model, x, target, grads_w)
+    return loss, grads_w, grads_b
+
+
+def _backprop(model: MlpModel, x, target: np.ndarray, grads_w: list[np.ndarray]):
+    """One sample's loss and bias gradients; the weight gradients go into ``grads_w``."""
     acts = forward(model, x)
     out = acts[-1]
-    loss = 0.5 * float(np.sum((out - target) ** 2))
-    delta = (out - target) * out * (1.0 - out)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = np.outer(delta, acts[layer])
+    err = out - target
+    loss = 0.5 * float((err**2).sum())
+    delta = err * out * (1.0 - out)
+    grads_b = [None] * len(grads_w)
+    for layer in range(len(grads_w) - 1, -1, -1):
+        np.multiply.outer(delta, acts[layer], out=grads_w[layer])
         grads_b[layer] = delta
         if layer:
             a = acts[layer]
             delta = (model.weights[layer].T @ delta) * a * (1.0 - a)
-    return loss, grads_w, grads_b
+    return loss, grads_b
 
 
 def _validate_data(config: MlpConfig, data):
@@ -176,15 +183,9 @@ def train(config: MlpConfig, data) -> MlpModel:
     weights = [rng.uniform(-0.5, 0.5, (sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
     biases = [rng.uniform(-0.5, 0.5, sizes[i + 1]) for i in range(len(sizes) - 1)]
     model = MlpModel(config=config, weights=weights, biases=biases)
-    # Each step is loss_and_gradients inlined, with the weight gradients and the
-    # momentum update written into preallocated buffers. It computes the same
-    # products and sums in the same order as loss_and_gradients followed by
-    # delta_w(n) = momentum * delta_w(n-1) - lr * dE/dw, so the weights are
-    # bitwise equal to that loop's; a test holds the two to it.
     grads_w = [np.empty_like(w) for w in weights]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
-    grads_b = [None] * len(biases)
 
     lr, mom = config.learning_rate, config.momentum
     epoch_error = math.nan
@@ -192,19 +193,8 @@ def train(config: MlpConfig, data) -> MlpModel:
     for epoch in range(1, config.epochs + 1):
         total = 0.0
         for i in rng.permutation(len(xs)):
-            acts = [xs[i]]
-            for w, b in zip(weights, biases):
-                acts.append(expit(w @ acts[-1] + b))
-            out = acts[-1]
-            err = out - ts[i]
-            total += 0.5 * float((err**2).sum())
-            delta = err * out * (1.0 - out)
-            for layer in range(len(weights) - 1, -1, -1):
-                np.multiply.outer(delta, acts[layer], out=grads_w[layer])
-                grads_b[layer] = delta
-                if layer:
-                    a = acts[layer]
-                    delta = (weights[layer].T @ delta) * a * (1.0 - a)
+            loss, grads_b = _backprop(model, xs[i], ts[i], grads_w)
+            total += loss
             for params, vel, grads in ((weights, vel_w, grads_w), (biases, vel_b, grads_b)):
                 for p, v, g in zip(params, vel, grads):
                     v *= mom

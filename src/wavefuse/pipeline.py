@@ -55,6 +55,11 @@ class Sample:
     visual: Path
     train: bool = False
 
+    @property
+    def name(self) -> str:
+        """``class/id``, as the sample is named in messages."""
+        return f"{self.thermal.parent.name}/{self.id}"
+
 
 @dataclass
 class ClassRecord:
@@ -207,7 +212,7 @@ def _image(cfg: PipelineConfig, sample: Sample, modality: str) -> np.ndarray:
     thermal, visual = load_image(sample.thermal), load_image(sample.visual)
     if thermal.shape != visual.shape:
         raise DataError(
-            f"pair {sample.thermal.parent.name}/{sample.id}: thermal dims {thermal.shape} "
+            f"pair {sample.name}: thermal dims {thermal.shape} "
             f"differ from visual dims {visual.shape}"
         )
     return fuse_images(thermal, visual, cfg.wavelet, cfg.levels, cfg.policy)
@@ -226,7 +231,15 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
         if not chosen:
             raise DataError(f"class {rec.label} has no training samples")
         for s in chosen:
-            fused.append(_image(cfg, s, "fused"))
+            img = _image(cfg, s, "fused")
+            if not fused:
+                first = s
+            elif img.shape != fused[0].shape:
+                raise DataError(
+                    f"pair {s.name}: fused dims {img.shape} differ from "
+                    f"pair {first.name}'s {fused[0].shape}"
+                )
+            fused.append(img)
             one_hot = np.full(len(labels), 0.1)
             one_hot[ci] = 0.9
             targets.append(one_hot)
@@ -263,6 +276,11 @@ def evaluate(
             if s.train != (split == "train"):
                 continue
             img = _image(model.config, s, modality)
+            if img.shape != model.eigenspace.input_dims:
+                raise DataError(
+                    f"pair {s.name}: {modality} dims {img.shape} differ from "
+                    f"model {model.eigenspace.input_dims}"
+                )
             predicted, _ = predict(model.mlp, project(model.eigenspace, img))
             confusion[ci, predicted] += 1
     total = int(confusion.sum())

@@ -1,6 +1,7 @@
 """Command-line interface: flags, outputs, and exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -107,6 +108,15 @@ class TestFuse:
                      "--out", str(tmp_path / "f.pgm")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_mismatched_dims_names_both_files(self, pair, tmp_path, capsys):
+        t_path, _ = pair
+        small = tmp_path / "small.pgm"
+        save_image(np.zeros((16, 16)), small)
+        assert main(["fuse", "--thermal", str(t_path), "--visual", str(small),
+                     "--out", str(tmp_path / "f.pgm")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: thermal {t_path} dims (32, 32) differ from visual {small} dims (16, 16)\n")
+
 
 class TestSynth:
     def test_writes_dataset(self, tmp_path, capsys):
@@ -136,6 +146,20 @@ def model_path(dataset):
                  "--hidden", "16", "--epochs", "300", "--model", str(path)])
     assert code == 0
     return path
+
+
+def mixed_dims_dataset(tmp_path):
+    """A 2-class set whose class00 images are 16x16 and class01 images 20x16.
+
+    The all-16x16 set it starts from stays under ``tmp_path / "square"``.
+    """
+    square, tall, mixed = tmp_path / "square", tmp_path / "tall", tmp_path / "mixed"
+    for out, rows in ((square, "16"), (tall, "20")):
+        assert main(["synth", "--classes", "2", "--per-class", "2",
+                     "--rows", rows, "--cols", "16", "--out", str(out)]) == 0
+    shutil.copytree(square / "class00", mixed / "class00")
+    shutil.copytree(tall / "class01", mixed / "class01")
+    return mixed
 
 
 class TestTrainEvaluate:
@@ -234,6 +258,29 @@ class TestTrainEvaluate:
             f"error: {trained.thermal}: malformed header: expected height, got b'x' "
             "(byte offset 5)\n")
 
+    def test_training_pair_dims_mismatch_names_the_pair(self, tmp_path, capsys):
+        data = mixed_dims_dataset(tmp_path)
+        trained = [next(s for s in rec.samples if s.train)
+                   for rec in ingest_dataset(data, split=0.5, seed=0).classes]
+        assert main(["train", "--data", str(data), "--levels", "2",
+                     "--model", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: pair {trained[1].name}: fused dims (20, 16) differ from "
+            f"pair {trained[0].name}'s (16, 16)\n")
+
+    def test_evaluate_dims_mismatch_names_the_pair(self, tmp_path, capsys):
+        data = mixed_dims_dataset(tmp_path)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(tmp_path / "square"), "--levels", "2",
+                     "--hidden", "4", "--epochs", "5", "--model", str(model)]) == 0
+        tested = next(s for s in ingest_dataset(data, split=0.5, seed=0).classes[1].samples
+                      if not s.train)
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(data), "--model", str(model),
+                     "--report", str(tmp_path / "r.json"), "--modality", "visual"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: pair {tested.name}: visual dims (20, 16) differ from model (16, 16)\n")
+
     def test_unpaired_file_warns_on_stderr(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert main(["synth", "--classes", "2", "--per-class", "4",
@@ -275,6 +322,18 @@ class TestExitCodeMapping:
         code = main(["train", "--data", str(out), "--model", str(tmp_path / "m.json")])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    # sizes beyond the address space, so the allocation fails before any memory is touched
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_failed_allocation_is_data_error(self, command, dataset, tmp_path, capsys):
+        argv = {
+            "train": ["train", "--data", str(dataset), "--levels", "3",
+                      "--hidden", "1000000000000000", "--model", str(tmp_path / "m.json")],
+            "synth": ["synth", "--rows", "1000000000", "--cols", "1000000000",
+                      "--out", str(tmp_path / "d")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
 
 
 class TestEntryPoints:

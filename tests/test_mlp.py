@@ -113,17 +113,35 @@ class TestForward:
             forward(model, np.zeros(4))
 
 
+def assert_gradients_match_central_differences(sizes, seed):
+    model = random_model(sizes, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(10):
+        x = rng.normal(size=sizes[0])
+        t = rng.uniform(size=sizes[-1])
+        _, grads_w, grads_b = loss_and_gradients(model, x, t)
+        num_w, num_b = numeric_gradients(model, x, t)
+        for a, n in zip(grads_w + grads_b, num_w + num_b):
+            assert relative_error(a, n).max() <= 1e-5
+
+
 class TestGradients:
     def test_analytic_matches_central_differences(self):
-        model = random_model((3, 5, 2), seed=17)
-        rng = np.random.default_rng(18)
-        for _ in range(10):
-            x = rng.normal(size=3)
-            t = rng.uniform(size=2)
-            _, grads_w, grads_b = loss_and_gradients(model, x, t)
-            num_w, num_b = numeric_gradients(model, x, t)
-            for a, n in zip(grads_w + grads_b, num_w + num_b):
-                assert relative_error(a, n).max() <= 1e-5
+        assert_gradients_match_central_differences((3, 5, 2), seed=17)
+
+    def test_two_hidden_layers_match_central_differences(self):
+        # the delta is carried back through two hidden layers
+        assert_gradients_match_central_differences((5, 7, 4, 3), seed=23)
+
+    def test_second_call_leaves_first_gradients_unchanged(self):
+        model = random_model((5, 7, 4, 3), seed=29)
+        rng = np.random.default_rng(30)
+        _, first_w, first_b = loss_and_gradients(model, rng.normal(size=5), rng.uniform(size=3))
+        kept = [g.copy() for g in first_w + first_b]
+        _, second_w, second_b = loss_and_gradients(model, rng.normal(size=5), rng.uniform(size=3))
+        for grad, copy, later in zip(first_w + first_b, kept, second_w + second_b):
+            assert grad.tobytes() == copy.tobytes()
+            assert not np.shares_memory(grad, later)
 
     def test_loss_value_matches_forward(self):
         model = random_model((3, 5, 2), seed=19)
