@@ -6,6 +6,12 @@ momentum rule delta_w(n) = -lr * dE/dw + momentum * delta_w(n-1), and a
 seeded shuffle of the sample order each epoch. Weight and bias values are
 initialized uniformly in [-0.5, 0.5] from the same seeded generator, so a
 fixed config and dataset reproduce the trained model bit for bit.
+
+While training, a network's parameters are one flat float64 vector: every
+weight matrix (fan-out x fan-in, C order) in layer order, then every bias.
+Its gradients and momentum velocities share that layout, so one momentum
+step is four whole-vector operations. The initial values are drawn in that
+order too: all weights, then all biases.
 """
 
 from __future__ import annotations
@@ -131,25 +137,31 @@ def loss_and_gradients(model: MlpModel, x, target):
             f"{model.config.layer_sizes[-1]}"
         )
     grads_w = [np.empty_like(w) for w in model.weights]
-    loss, grads_b = _backprop(model, x, target, grads_w)
-    return loss, grads_w, grads_b
+    grads_b = [np.empty_like(b) for b in model.biases]
+    return _backprop(model, x, target, grads_w, grads_b), grads_w, grads_b
 
 
-def _backprop(model: MlpModel, x, target: np.ndarray, grads_w: list[np.ndarray]):
-    """One sample's loss and bias gradients; the weight gradients go into ``grads_w``."""
+def _backprop(model: MlpModel, x, target, grads_w, grads_b) -> float:
+    """One sample's loss; every gradient goes into the caller's ``grads_w`` and ``grads_b``."""
     acts = forward(model, x)
     out = acts[-1]
     err = out - target
     loss = 0.5 * float((err**2).sum())
-    delta = err * out * (1.0 - out)
-    grads_b = [None] * len(grads_w)
+    delta = np.multiply(err * out, 1.0 - out, out=grads_b[-1])
     for layer in range(len(grads_w) - 1, -1, -1):
         np.multiply.outer(delta, acts[layer], out=grads_w[layer])
-        grads_b[layer] = delta
         if layer:
             a = acts[layer]
-            delta = (model.weights[layer].T @ delta) * a * (1.0 - a)
-    return loss, grads_b
+            delta = np.multiply(model.weights[layer].T @ delta * a, 1.0 - a, out=grads_b[layer - 1])
+    return loss
+
+
+def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat vector laid out as the module docstring says."""
+    shapes = [(n_out, n_in) for n_in, n_out in zip(sizes, sizes[1:])] + [(n,) for n in sizes[1:]]
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    views = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    return views[: len(sizes) - 1], views[len(sizes) - 1 :]
 
 
 def _validate_data(config: MlpConfig, data):
@@ -180,12 +192,12 @@ def train(config: MlpConfig, data) -> MlpModel:
     xs, ts = _validate_data(config, data)
     sizes = config.layer_sizes
     rng = np.random.default_rng(config.seed)
-    weights = [rng.uniform(-0.5, 0.5, (sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
-    biases = [rng.uniform(-0.5, 0.5, sizes[i + 1]) for i in range(len(sizes) - 1)]
-    model = MlpModel(config=config, weights=weights, biases=biases)
-    grads_w = [np.empty_like(w) for w in weights]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+    params = rng.uniform(-0.5, 0.5, n_params)
+    model = MlpModel(config, *_views(params, sizes))
+    grads = np.empty_like(params)
+    grads_w, grads_b = _views(grads, sizes)
+    velocity = np.zeros_like(params)
 
     lr, mom = config.learning_rate, config.momentum
     epoch_error = math.nan
@@ -193,19 +205,13 @@ def train(config: MlpConfig, data) -> MlpModel:
     for epoch in range(1, config.epochs + 1):
         total = 0.0
         for i in rng.permutation(len(xs)):
-            loss, grads_b = _backprop(model, xs[i], ts[i], grads_w)
-            total += loss
-            for params, vel, grads in ((weights, vel_w, grads_w), (biases, vel_b, grads_b)):
-                for p, v, g in zip(params, vel, grads):
-                    v *= mom
-                    g *= lr
-                    v -= g
-                    p += v
+            total += _backprop(model, xs[i], ts[i], grads_w, grads_b)
+            velocity *= mom
+            grads *= lr
+            velocity -= grads
+            params += velocity
         epoch_error = total / len(xs)
-        finite_params = all(
-            np.all(np.isfinite(arr)) for arr in (*weights, *biases)
-        )
-        if not math.isfinite(epoch_error) or not finite_params:
+        if not math.isfinite(epoch_error) or not np.isfinite(params).all():
             raise NumericError(
                 f"training diverged: non-finite loss or parameters at epoch {epoch}"
             )

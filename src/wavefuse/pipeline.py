@@ -330,8 +330,6 @@ def generate_synthetic_dataset(
     rows, cols = dims
     if rows < 2 or cols < 2:
         raise DataError(f"dims must be at least 2x2, got {dims}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     half_r, half_c = rows // 2, cols // 2
     t_mask = np.zeros((rows, cols))
@@ -358,6 +356,9 @@ def generate_synthetic_dataset(
     f_amps, g_amps = _levels(f_count), _levels(g_count)
     f_tex = [_texture(1, v) for v in range(f_count)]
     g_tex = [_texture(2, v) for v in range(g_count)]
+    # made only now, so a size that fails to allocate leaves no directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     class_width = max(2, len(str(classes - 1)))
     id_width = max(2, len(str(per_class - 1)))

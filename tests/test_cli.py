@@ -334,6 +334,7 @@ class TestExitCodeMapping:
         }[command]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert not (tmp_path / "d").exists()
 
 
 class TestEntryPoints:

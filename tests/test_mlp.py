@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wavefuse.errors import DataError, NumericError
-from wavefuse.mlp import MlpConfig, MlpModel, forward, loss_and_gradients, predict, train
+from wavefuse.mlp import MlpConfig, MlpModel, _views, forward, loss_and_gradients, predict, train
 
 XOR_DATA = [
     (np.array([0.0, 0.0]), np.array([0.0])),
@@ -232,6 +232,17 @@ class TestTrain:
             assert a.tobytes() == b.tobytes()
         assert trained.final_error == total / len(data)
         assert trained.epochs_run == cfg.epochs
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (3, 5, 2), (5, 7, 4, 3)])
+    def test_views_tile_the_parameter_vector(self, sizes):
+        n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+        flat = np.arange(n_params, dtype=np.float64)
+        weights, biases = _views(flat, sizes)
+        assert [w.shape for w in weights] == list(zip(sizes[1:], sizes))
+        assert [b.shape for b in biases] == [(n,) for n in sizes[1:]]
+        assert all(np.shares_memory(v, flat) for v in weights + biases)
+        # weights by layer, then biases: each entry of the vector exactly once, in order
+        np.testing.assert_array_equal(np.concatenate([v.ravel() for v in weights + biases]), flat)
 
     def test_bit_reproducible(self):
         a = train(xor_config(seed=7), XOR_DATA)
