@@ -156,6 +156,11 @@ def _backprop(model: MlpModel, x, target, grads_w, grads_b) -> float:
     return loss
 
 
+def parameter_count(sizes: tuple[int, ...]) -> int:
+    """Weights plus biases of a network with these layer sizes."""
+    return sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
+
+
 def _views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views into a flat vector laid out as the module docstring says."""
     shapes = [(n_out, n_in) for n_in, n_out in zip(sizes, sizes[1:])] + [(n,) for n in sizes[1:]]
@@ -192,8 +197,7 @@ def train(config: MlpConfig, data) -> MlpModel:
     xs, ts = _validate_data(config, data)
     sizes = config.layer_sizes
     rng = np.random.default_rng(config.seed)
-    n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(sizes, sizes[1:]))
-    params = rng.uniform(-0.5, 0.5, n_params)
+    params = rng.uniform(-0.5, 0.5, parameter_count(sizes))
     model = MlpModel(config, *_views(params, sizes))
     grads = np.empty_like(params)
     grads_w, grads_b = _views(grads, sizes)

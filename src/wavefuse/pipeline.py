@@ -36,7 +36,7 @@ from .eigen import AUTO, EigenspaceModel, fit_eigenspace, project
 from .errors import DataError
 from .fusion import FusionPolicy, FusionRule, fuse_images
 from .imgio import load_image, save_image
-from .mlp import MlpConfig, MlpModel, predict, train, typed
+from .mlp import MlpConfig, MlpModel, parameter_count, predict, train, typed
 from .wavelet import WaveletKind
 
 MODALITIES = ("fused", "thermal", "visual")
@@ -224,13 +224,20 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
     if len(data.classes) < 2:
         raise DataError(f"need at least 2 classes to train, got {len(data.classes)}")
     labels = [rec.label for rec in data.classes]
+    chosen = [[s for s in rec.samples if s.train] for rec in data.classes]
+    for label, samples in zip(labels, chosen):
+        if not samples:
+            raise DataError(f"class {label} has no training samples")
+    # Size the network for the largest k the fit can keep (it rejects a k above
+    # the data's rank) before any image is read, so a hidden layer too large
+    # to allocate fails at once.
+    n_train = sum(map(len, chosen))
+    k_max = n_train - 1 if cfg.pca_k == AUTO else min(cfg.pca_k, n_train)
+    np.empty(parameter_count((k_max, cfg.hidden, len(labels))))
     fused: list[np.ndarray] = []
     targets: list[np.ndarray] = []
-    for ci, rec in enumerate(data.classes):
-        chosen = [s for s in rec.samples if s.train]
-        if not chosen:
-            raise DataError(f"class {rec.label} has no training samples")
-        for s in chosen:
+    for ci, samples in enumerate(chosen):
+        for s in samples:
             img = _image(cfg, s, "fused")
             if not fused:
                 first = s

@@ -160,6 +160,15 @@ class TestTrainPipeline:
                          for path in (s.thermal, s.visual)]
         assert len(reads) == 24  # 2 per training pair
 
+    @pytest.mark.parametrize("pca_k", ["auto", 5])
+    def test_oversized_network_fails_before_any_image_is_read(self, small_root, monkeypatch,
+                                                             pca_k):
+        data = ingest_dataset(small_root, split=0.5, seed=1)
+        reads = _count_reads(monkeypatch)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            train_pipeline(data, PipelineConfig(levels=3, hidden=10**15, pca_k=pca_k))
+        assert reads == []
+
     def test_fixed_pca_k_is_respected(self, small_root):
         data = ingest_dataset(small_root, split=0.5, seed=1)
         model = train_pipeline(data, PipelineConfig(levels=3, epochs=20, hidden=8, pca_k=5))
