@@ -6,6 +6,12 @@ method: eigendecompose the N x N Gram matrix (1/N) A A^T instead of the
 D x D covariance, then map each Gram eigenvector u back to image space as
 A^T u and normalize. That keeps the cost O(N^2 D) for N images of D pixels,
 which matters because D is the pixel count.
+
+The fit works in place where it can, so beyond the training data it holds
+little more than the D x k basis and one temporary of that size: a
+writeable C-contiguous (N, rows, cols) float64 array is used as the data
+matrix without a copy and is centred in place, and the basis is normalized
+and sign-flipped in place.
 """
 
 from __future__ import annotations
@@ -51,8 +57,12 @@ class EigenspaceModel:
 
 
 def _flatten_stack(images) -> tuple[np.ndarray, tuple[int, int]]:
+    """The N x D data matrix: a view of an owned (N, R, C) array, else a fresh stack."""
     if len(images) == 0:
         raise DataError("no training images")
+    if (isinstance(images, np.ndarray) and images.ndim == 3 and images.dtype == np.float64
+            and images.flags.c_contiguous and images.flags.writeable):
+        return images.reshape(len(images), -1), images.shape[1:]
     dims = np.asarray(images[0]).shape
     rows = []
     for i, img in enumerate(images):
@@ -66,6 +76,12 @@ def _flatten_stack(images) -> tuple[np.ndarray, tuple[int, int]]:
 def fit_eigenspace(images, k=AUTO) -> EigenspaceModel:
     """Fit an eigenface basis from same-shape images.
 
+    ``images`` is a sequence of same-shape 2-D images, or one (N, R, C)
+    array. A writeable C-contiguous float64 array is not copied: it is
+    centred in place, so on return each of its images holds itself minus the
+    fitted mean. Any other input is stacked into a fresh array and left
+    unchanged.
+
     ``k`` is the number of components: a positive int, or ``"auto"`` to keep
     the smallest number of components capturing at least 95% of the total
     eigenvalue mass (capped at N - 1). Requesting more components than the
@@ -76,8 +92,8 @@ def fit_eigenspace(images, k=AUTO) -> EigenspaceModel:
     if n < 2:
         raise DataError(f"need at least 2 training images, got {n}")
     mean = stack.mean(axis=0)
-    centered = stack - mean
-    gram = (centered @ centered.T) / n
+    stack -= mean
+    gram = (stack @ stack.T) / n
     evals, evecs = np.linalg.eigh(gram)
     order = np.argsort(evals)[::-1]
     evals = np.maximum(evals[order], 0.0)
@@ -101,15 +117,15 @@ def fit_eigenspace(images, k=AUTO) -> EigenspaceModel:
                 f"requested {keep} components but data rank is only {rank}"
             )
 
-    basis = centered.T @ evecs[:, :keep]
-    norms = np.linalg.norm(basis, axis=0)
-    basis = (basis / norms).T
+    basis = stack.T @ evecs[:, :keep]
+    basis /= np.linalg.norm(basis, axis=0)
+    basis = basis.T
     # Sign convention: first entry of largest magnitude made positive, so a
     # fitted model is reproducible rather than solver-dependent.
     mags = np.abs(basis)
     lead = np.argmax(mags == mags.max(axis=1, keepdims=True), axis=1)
     flips = np.where(basis[np.arange(keep), lead] < 0, -1.0, 1.0)
-    basis = basis * flips[:, None]
+    basis *= flips[:, None]
     return EigenspaceModel(
         input_dims=dims, mean=mean, eigenvalues=evals[:keep], basis=basis
     )

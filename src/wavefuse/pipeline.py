@@ -231,27 +231,30 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
     # Size the network for the largest k the fit can keep (it rejects a k above
     # the data's rank) before any image is read, so a hidden layer too large
     # to allocate fails at once.
-    n_train = sum(map(len, chosen))
+    pairs = [(ci, s) for ci, samples in enumerate(chosen) for s in samples]
+    n_train = len(pairs)
     k_max = n_train - 1 if cfg.pca_k == AUTO else min(cfg.pca_k, n_train)
     np.empty(parameter_count((k_max, cfg.hidden, len(labels))))
-    fused: list[np.ndarray] = []
+    # one (N, R, C) array, allocated once the first fused image fixes the dims
+    fused = None
     targets: list[np.ndarray] = []
-    for ci, samples in enumerate(chosen):
-        for s in samples:
-            img = _image(cfg, s, "fused")
-            if not fused:
-                first = s
-            elif img.shape != fused[0].shape:
-                raise DataError(
-                    f"pair {s.name}: fused dims {img.shape} differ from "
-                    f"pair {first.name}'s {fused[0].shape}"
-                )
-            fused.append(img)
-            one_hot = np.full(len(labels), 0.1)
-            one_hot[ci] = 0.9
-            targets.append(one_hot)
+    for row, (ci, s) in enumerate(pairs):
+        img = _image(cfg, s, "fused")
+        if fused is None:
+            fused = np.empty((n_train, *img.shape))
+        elif img.shape != fused.shape[1:]:
+            raise DataError(
+                f"pair {s.name}: fused dims {img.shape} differ from "
+                f"pair {pairs[0][1].name}'s {fused.shape[1:]}"
+            )
+        fused[row] = img
+        one_hot = np.full(len(labels), 0.1)
+        one_hot[ci] = 0.9
+        targets.append(one_hot)
     eigenspace = fit_eigenspace(fused, k=cfg.pca_k)
-    features = [project(eigenspace, img) for img in fused]
+    # The fit centred ``fused`` in place, so each row is already what
+    # ``project`` subtracts the mean to get; this is project's product.
+    features = [eigenspace.basis @ centered for centered in fused.reshape(n_train, -1)]
     net = train(
         cfg.mlp_config((eigenspace.k, cfg.hidden, len(labels))), list(zip(features, targets))
     )
@@ -395,7 +398,7 @@ def _json_fields(obj) -> dict:
 
 def _json_array(values: np.ndarray) -> dict:
     """An array as its shape and the base64 of its C-order little-endian float64 bytes."""
-    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    raw = np.ascontiguousarray(values, dtype="<f8")  # b64encode reads its buffer
     return {"shape": list(values.shape), "f64le": base64.b64encode(raw).decode("ascii")}
 
 
@@ -468,7 +471,10 @@ def save_model(model: PipelineModel, path) -> None:
             "final_error": model.mlp.final_error,
         },
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    # streamed: json.dumps would hold the whole document as one more string
+    with Path(path).open("w") as f:
+        json.dump(doc, f)
+        f.write("\n")
 
 
 def load_model(path) -> PipelineModel:

@@ -5,6 +5,8 @@ The oracle materializes the full pixel-by-pixel covariance matrix (fine at
 checked against the definition it is supposed to equal.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -163,6 +165,50 @@ class TestReconstructFromFeatures:
         model = fit_eigenspace(random_images, k=3)
         with pytest.raises(DataError, match="features"):
             reconstruct_from_features(model, np.zeros(4))
+
+
+class TestInPlaceFit:
+    """An owned (N, R, C) array is fitted without a copy; a list is never modified."""
+
+    def test_array_and_list_fit_bitwise_equal(self, random_images):
+        originals = [img.copy() for img in random_images]
+        from_list = fit_eigenspace(random_images, k=AUTO)
+        from_array = fit_eigenspace(np.stack(random_images), k=AUTO)
+        for name in ("mean", "eigenvalues", "basis"):
+            assert np.array_equal(getattr(from_array, name), getattr(from_list, name)), name
+        assert from_array.input_dims == from_list.input_dims == (8, 8)
+        assert all(np.array_equal(a, b) for a, b in zip(random_images, originals))
+
+    def test_owned_array_is_centred_in_place(self, random_images):
+        stack = np.stack(random_images)
+        model = fit_eigenspace(stack, k=3)
+        assert np.array_equal(stack, np.stack(random_images) - model.mean.reshape(8, 8))
+
+    @pytest.mark.parametrize("make", [
+        lambda s: s.astype(np.float32),
+        lambda s: np.asfortranarray(s),
+        lambda s: s[:, :, ::-1],
+    ], ids=["float32", "fortran-order", "strided"])
+    def test_other_arrays_are_left_unchanged(self, random_images, make):
+        images = make(np.stack(random_images))
+        before = images.copy()
+        fit_eigenspace(images, k=3)
+        assert np.array_equal(images, before)
+
+    def test_peak_memory_stays_near_one_basis(self):
+        # An N x D copy of the data (1.1 MB here) alone exceeds the limit.
+        n, rows, cols, k = 60, 48, 48, 10
+        d = rows * cols
+        images = np.random.default_rng(7).random((n, rows, cols))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_eigenspace(images, k=k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * d * k * 8 + 16 * n * n * 8, peak
 
 
 class TestModelValidation:

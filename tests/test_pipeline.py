@@ -12,11 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wavefuse import pipeline
-from wavefuse.eigen import project
+from wavefuse.eigen import fit_eigenspace, project
 from wavefuse.errors import DataError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
-from wavefuse.mlp import MlpConfig, predict
+from wavefuse.mlp import MlpConfig, predict, train
 from wavefuse.imgio import load_image, save_image
+from wavefuse.wavelet import WaveletKind
 from wavefuse.pipeline import (
     PipelineConfig,
     evaluate,
@@ -182,6 +183,32 @@ class TestTrainPipeline:
         m2 = train_pipeline(data2, SMALL_CFG)
         assert np.array_equal(m1.eigenspace.basis, m2.eigenspace.basis)
         assert all(np.array_equal(a, b) for a, b in zip(m1.mlp.weights, m2.mlp.weights))
+
+    @pytest.mark.parametrize("wavelet", list(WaveletKind))
+    def test_model_equals_reference_from_public_pieces(self, tmp_path, wavelet):
+        # train_pipeline takes the features from the rows the fit centred in
+        # place; the reference fits a list and projects each fused image.
+        generate_synthetic_dataset(3, 4, (19, 23), seed=2, out_dir=tmp_path)
+        data = ingest_dataset(tmp_path, split=0.5, seed=0)
+        cfg = PipelineConfig(wavelet=wavelet, levels=3, epochs=30, hidden=6)
+        images, targets = [], []
+        for ci, rec in enumerate(data.classes):
+            for s in rec.samples:
+                if s.train:
+                    images.append(fuse_images(load_image(s.thermal), load_image(s.visual),
+                                              cfg.wavelet, cfg.levels, cfg.policy))
+                    targets.append(np.where(np.arange(3) == ci, 0.9, 0.1))
+        eigenspace = fit_eigenspace(images, k=cfg.pca_k)
+        features = [project(eigenspace, img) for img in images]
+        net = train(cfg.mlp_config((eigenspace.k, cfg.hidden, 3)), list(zip(features, targets)))
+
+        model = train_pipeline(data, cfg)
+        assert model.eigenspace.input_dims == eigenspace.input_dims
+        for name in ("mean", "eigenvalues", "basis"):
+            assert np.array_equal(getattr(model.eigenspace, name), getattr(eigenspace, name))
+        for got, want in zip(model.mlp.weights + model.mlp.biases, net.weights + net.biases):
+            assert np.array_equal(got, want)
+        assert (model.mlp.epochs_run, model.mlp.final_error) == (net.epochs_run, net.final_error)
 
 
 class TestEvaluate:
@@ -387,6 +414,16 @@ class TestPersistence:
         model, data = small_model
         doc = report_dict(evaluate(model, data))
         assert doc == json.loads(json.dumps(doc))
+
+    def test_trained_model_save_load_save_is_byte_identical(self, small_model, tmp_path):
+        # A trained basis is Fortran-ordered and a loaded one C-ordered; the
+        # model_v2.json pin below covers only the loaded layout.
+        model, _ = small_model
+        assert not model.eigenspace.basis.flags.c_contiguous
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_v2_model_file_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "m.json"
