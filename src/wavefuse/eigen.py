@@ -8,10 +8,11 @@ A^T u and normalize. That keeps the cost O(N^2 D) for N images of D pixels,
 which matters because D is the pixel count.
 
 The fit works in place where it can, so beyond the training data it holds
-little more than the D x k basis and one temporary of that size: a
-writeable C-contiguous (N, rows, cols) float64 array is used as the data
-matrix without a copy and is centred in place, and the basis is normalized
-and sign-flipped in place.
+little more than the D x k basis and no temporary of that size: a writeable
+C-contiguous (N, rows, cols) float64 array is used as the data matrix
+without a copy and is centred in place, and the basis is normalized and
+sign-flipped in place. (With k = 1 the norm squares its one D-long column
+into a copy.)
 """
 
 from __future__ import annotations
@@ -118,12 +119,18 @@ def fit_eigenspace(images, k=AUTO) -> EigenspaceModel:
             )
 
     basis = stack.T @ evecs[:, :keep]
-    basis /= np.linalg.norm(basis, axis=0)
+    # np.linalg.norm squares the whole basis first. The einsum sums the
+    # squares in the same order without that copy, but only for k >= 2: a
+    # single column is summed pairwise, so k = 1 keeps norm's expression.
+    if keep > 1:
+        basis /= np.sqrt(np.einsum("ij,ij->j", basis, basis))
+    else:
+        basis /= np.linalg.norm(basis, axis=0)
     basis = basis.T
     # Sign convention: first entry of largest magnitude made positive, so a
-    # fitted model is reproducible rather than solver-dependent.
-    mags = np.abs(basis)
-    lead = np.argmax(mags == mags.max(axis=1, keepdims=True), axis=1)
+    # fitted model is reproducible rather than solver-dependent. One row at a
+    # time, as np.abs of the whole basis would be another D x k array.
+    lead = [np.argmax(np.abs(row)) for row in basis]
     flips = np.where(basis[np.arange(keep), lead] < 0, -1.0, 1.0)
     basis *= flips[:, None]
     return EigenspaceModel(

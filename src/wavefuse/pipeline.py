@@ -20,6 +20,7 @@ same image up to rounding, so the wavelet stage is skipped.
 from __future__ import annotations
 
 import base64
+import binascii
 import inspect
 import json
 import math
@@ -44,6 +45,8 @@ MODEL_FORMAT_VERSION = 2  # load_model also reads format 1
 
 _NOISE_SIGMA = 0.02
 _TEXTURE_SIGMA = 0.02
+# bytes a model file's base64 is written or read in at a time; whole 3-byte groups
+_PIECE = 3 << 16
 
 
 @dataclass
@@ -234,7 +237,11 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
     pairs = [(ci, s) for ci, samples in enumerate(chosen) for s in samples]
     n_train = len(pairs)
     k_max = n_train - 1 if cfg.pca_k == AUTO else min(cfg.pca_k, n_train)
-    np.empty(parameter_count((k_max, cfg.hidden, len(labels))))
+    count = parameter_count((k_max, cfg.hidden, len(labels)))
+    try:
+        np.empty(count)
+    except ValueError:  # more bytes than NumPy can size, so it does not say "allocate"
+        raise MemoryError(f"Unable to allocate a network of {count} float64 parameters") from None
     # one (N, R, C) array, allocated once the first fused image fixes the dims
     fused = None
     targets: list[np.ndarray] = []
@@ -397,9 +404,56 @@ def _json_fields(obj) -> dict:
 
 
 def _json_array(values: np.ndarray) -> dict:
-    """An array as its shape and the base64 of its C-order little-endian float64 bytes."""
-    raw = np.ascontiguousarray(values, dtype="<f8")  # b64encode reads its buffer
-    return {"shape": list(values.shape), "f64le": base64.b64encode(raw).decode("ascii")}
+    """An array's place in a model document: its shape, and the array itself as ``f64le``.
+
+    ``save_model`` writes the base64 of its C-order little-endian float64
+    bytes there, piece by piece (``_write_base64``).
+    """
+    return {"shape": list(values.shape), "f64le": values}
+
+
+def _write_base64(f, values: np.ndarray) -> None:
+    """Write the base64 of ``values``' C-order little-endian float64 bytes to a binary file.
+
+    Every piece but the last covers whole 3-byte groups, so the pieces join
+    to exactly one ``b64encode`` of the bytes. A C-contiguous array is read
+    through its buffer; any other (the trained basis is Fortran-ordered) is
+    copied three rows at a time, which is a whole number of groups.
+    """
+    values = np.asarray(values, dtype="<f8")
+    blocks = ([values] if values.flags.c_contiguous else
+              (np.ascontiguousarray(values[i : i + 3]) for i in range(0, len(values), 3)))
+    for block in blocks:
+        raw = memoryview(block.reshape(-1)).cast("B")  # a view: the block is C-contiguous
+        for start in range(0, len(raw), _PIECE):
+            f.write(binascii.b2a_base64(raw[start : start + _PIECE], newline=False))
+
+
+def _decode_into(text: str, count: int) -> np.ndarray | None:
+    """Decode base64 ``text`` into a new array of ``count`` float64s, one piece at a time.
+
+    Returns None, having decoded nothing or only part, where the text's
+    length or padding does not give ``8 * count`` bytes or a piece is not
+    valid base64, so the caller can rerun the whole-string decode for its
+    message. Each piece is 4-character aligned and only the last quantum may
+    hold ``=``, so the pieces are valid exactly when the whole text is.
+    """
+    size = len(text) // 4 * 3 - (text.endswith("=") + text.endswith("=="))
+    if len(text) % 4 or size != 8 * count or text.find("=", 0, len(text) - 4) != -1:
+        return None
+    out = np.empty(count, dtype="<f8")
+    buf = memoryview(out).cast("B")
+    step = _PIECE // 3 * 4
+    for start in range(0, len(text), step):
+        # the whole-string check, piece by piece (binascii's strict_mode
+        # would need Python 3.11)
+        try:
+            piece = base64.b64decode(text[start : start + step], validate=True)
+        except ValueError:
+            return None
+        at = start // 4 * 3
+        buf[at : at + len(piece)] = piece
+    return out
 
 
 def _array(version: int, name: str, value) -> np.ndarray:
@@ -413,14 +467,19 @@ def _array(version: int, name: str, value) -> np.ndarray:
         raise DataError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
     if not isinstance(text, str):
         raise DataError(f"{name}: f64le must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise DataError(f"{name}: f64le is not valid base64: {exc}") from None
-    # the byte count is checked before the shape sizes anything
-    if len(raw) != 8 * math.prod(shape):
-        raise DataError(f"{name}: {len(raw)} bytes do not hold float64 shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    values = _decode_into(text, math.prod(shape))
+    if values is None:
+        # the whole-string decode, for its messages: invalid base64 is
+        # reported before a byte count that does not fit the shape
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:
+            raise DataError(f"{name}: f64le is not valid base64: {exc}") from None
+        # the byte count is checked before the shape sizes anything
+        if len(raw) != 8 * math.prod(shape):
+            raise DataError(f"{name}: {len(raw)} bytes do not hold float64 shape {shape}")
+        values = np.frombuffer(raw, dtype="<f8").copy()
+    return values.astype(np.float64, copy=False).reshape(shape)
 
 
 def _section(doc: dict, name: str, build):
@@ -456,7 +515,13 @@ def _mlp_model(cfg: PipelineConfig, array, layer_sizes, activation, weights, bia
 
 
 def save_model(model: PipelineModel, path) -> None:
-    """Persist a model as one JSON document; arrays are stored as exact float64 bytes."""
+    """Persist a model as one JSON document; arrays are stored as exact float64 bytes.
+
+    The document goes to the file as ``json`` encodes it, and each array's
+    base64 is written in pieces straight from the array's buffer (a
+    Fortran-ordered one three rows at a time), so neither the file's text
+    nor a second copy of an array is ever held.
+    """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": _json_fields(model.config),
@@ -471,10 +536,26 @@ def save_model(model: PipelineModel, path) -> None:
             "final_error": model.mlp.final_error,
         },
     }
-    # streamed: json.dumps would hold the whole document as one more string
-    with Path(path).open("w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    # json.dump's chunks, except for the arrays: the encoder calls ``default``
+    # on reaching one and next yields the encoding of what it returned, so
+    # that chunk is the array's place, whatever text the labels hold
+    arrays = []
+
+    def default(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return ""
+
+    with Path(path).open("wb") as f:
+        for chunk in json.JSONEncoder(default=default).iterencode(doc):
+            if arrays:
+                f.write(b'"')
+                _write_base64(f, arrays.pop())
+                f.write(b'"')
+            else:
+                f.write(chunk.encode("ascii"))
+        f.write(b"\n")
 
 
 def load_model(path) -> PipelineModel:
@@ -482,6 +563,9 @@ def load_model(path) -> PipelineModel:
 
     The two formats differ only in how arrays are stored: nested decimal lists
     in 1, base64 float64 bytes in 2. Errors name the file and the field.
+    Parsing holds the file's text and the parsed document, about twice the
+    file's size; each format-2 array is then decoded piece by piece into the
+    array it becomes.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

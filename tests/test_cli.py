@@ -15,6 +15,7 @@ from wavefuse import cli
 from wavefuse.cli import main
 from wavefuse.errors import NumericError
 from wavefuse.imgio import load_image, save_image
+from wavefuse.mlp import parameter_count
 from wavefuse.pipeline import PipelineConfig, ingest_dataset
 
 
@@ -378,6 +379,16 @@ class TestExitCodeMapping:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: Unable to allocate ")
         assert not (tmp_path / "d").exists()
+
+    def test_network_numpy_cannot_size_is_data_error(self, dataset, tmp_path, capsys):
+        # 9e18 float64 parameters: np.empty rejects the byte count itself with
+        # a ValueError, before any memory is asked for
+        argv = ["train", "--data", str(dataset), "--levels", "3",
+                "--hidden", str(10**18), "--model", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        count = parameter_count((5, 10**18, 3))
+        assert capsys.readouterr().err == (
+            f"error: Unable to allocate a network of {count} float64 parameters\n")
 
 
 class TestEntryPoints:

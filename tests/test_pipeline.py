@@ -1,8 +1,10 @@
 """Dataset ingestion, training, evaluation, generation, and persistence."""
 
 import base64
+import io
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,14 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wavefuse import pipeline
-from wavefuse.eigen import fit_eigenspace, project
+from wavefuse.eigen import EigenspaceModel, fit_eigenspace, project
 from wavefuse.errors import DataError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
-from wavefuse.mlp import MlpConfig, predict, train
+from wavefuse.mlp import MlpConfig, MlpModel, parameter_count, predict, train
 from wavefuse.imgio import load_image, save_image
 from wavefuse.wavelet import WaveletKind
 from wavefuse.pipeline import (
     PipelineConfig,
+    PipelineModel,
     evaluate,
     format_report,
     generate_synthetic_dataset,
@@ -168,6 +171,18 @@ class TestTrainPipeline:
         reads = _count_reads(monkeypatch)
         with pytest.raises(MemoryError, match="Unable to allocate"):
             train_pipeline(data, PipelineConfig(levels=3, hidden=10**15, pca_k=pca_k))
+        assert reads == []
+
+    # 1.6e18 parameters are too many bytes for NumPy to size, and 1.6e19 too
+    # many elements; both are a ValueError from np.empty, not a MemoryError
+    @pytest.mark.parametrize("hidden", [10**17, 10**18])
+    def test_network_numpy_cannot_size_fails_as_memory_error(self, small_root, monkeypatch,
+                                                             hidden):
+        data = ingest_dataset(small_root, split=0.5, seed=1)
+        reads = _count_reads(monkeypatch)
+        count = parameter_count((11, hidden, 4))  # 12 training pairs, 4 classes
+        with pytest.raises(MemoryError, match=f"^Unable to allocate a network of {count} float64 "):
+            train_pipeline(data, PipelineConfig(levels=3, hidden=hidden))
         assert reads == []
 
     def test_fixed_pca_k_is_respected(self, small_root):
@@ -484,6 +499,100 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"model file {path}: field {section}") as info:
             load_model(path)
         assert match in str(info.value)
+
+
+# float64 values in one piece of a model file's base64, and the characters of one piece
+_PIECE_VALUES = pipeline._PIECE // 8
+_PIECE_CHARS = pipeline._PIECE // 3 * 4
+
+
+def _haar_64_model(rng) -> PipelineModel:
+    """A model of protocol-haar's sizes (64x64, k 95, 100 hidden, 10 classes).
+
+    The basis is Fortran-ordered, as a trained one is.
+    """
+    cfg = PipelineConfig(wavelet="haar", pca_k=95)
+    sizes = (95, 100, 10)
+    eigenspace = EigenspaceModel((64, 64), rng.random(4096), rng.random(95),
+                                 np.asfortranarray(rng.standard_normal((95, 4096))))
+    net = MlpModel(cfg.mlp_config(sizes),
+                   [rng.standard_normal((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])],
+                   [rng.standard_normal(n_out) for n_out in sizes[1:]], 300, 0.01)
+    return PipelineModel(cfg, [f"class{i:02d}" for i in range(10)], eigenspace, net)
+
+
+def _traced_peak(call) -> int:
+    """The most bytes ``call()`` has allocated at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedArrays:
+    """Arrays are written to and read from a model file's base64 in pieces."""
+
+    @pytest.mark.parametrize("shape", [
+        (_PIECE_VALUES - 1,), (_PIECE_VALUES,), (_PIECE_VALUES + 1,), (2 * _PIECE_VALUES + 1,),
+        (1,), (1, 1), (0,), (3, 0), (5, 7), (4, _PIECE_VALUES + 1),
+    ])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_is_one_b64encode_and_decodes_back(self, shape, order):
+        values = np.asarray(np.random.default_rng(3).standard_normal(shape), order=order)
+        text = base64.b64encode(values.tobytes(order="C"))
+        written = io.BytesIO()
+        pipeline._write_base64(written, values)
+        assert written.getvalue() == text
+        decoded = pipeline._decode_into(text.decode(), values.size)
+        assert decoded is not None and decoded.tobytes() == values.tobytes(order="C")
+        loaded = pipeline._array(2, "x", {"shape": list(shape), "f64le": text.decode()})
+        assert loaded.shape == shape and loaded.flags.writeable
+        assert loaded.tobytes() == values.tobytes(order="C")
+
+    def test_trained_basis_payload_is_its_c_order_bytes(self, small_model, tmp_path):
+        model, _ = small_model
+        basis = model.eigenspace.basis
+        assert basis.flags.f_contiguous and not basis.flags.c_contiguous
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        stored = json.loads(path.read_text())["eigenspace"]["basis"]
+        assert stored == {"shape": list(basis.shape),
+                          "f64le": base64.b64encode(basis.tobytes(order="C")).decode()}
+
+    def test_labels_that_look_like_payloads_stay_labels(self, small_model, tmp_path):
+        model, _ = small_model
+        labels = ["", '""', "f64le", "="]
+        path = tmp_path / "m.json"
+        save_model(PipelineModel(model.config, labels, model.eigenspace, model.mlp), path)
+        assert json.loads(path.read_text())["class_labels"] == labels
+        assert load_model(path).class_labels == labels
+
+    @pytest.mark.parametrize("at, char", [
+        (_PIECE_CHARS - 1, "="),  # the first piece alone is valid base64 with padding
+        (2 * _PIECE_CHARS - 10, "*"),
+    ])
+    def test_bad_character_in_a_piece_is_invalid_base64(self, at, char):
+        count = 2 * _PIECE_VALUES
+        text = base64.b64encode(np.ones(count).tobytes()).decode()
+        text = text[:at] + char + text[at + 1:]
+        assert pipeline._decode_into(text, count) is None
+        with pytest.raises(DataError, match="^x: f64le is not valid base64"):
+            pipeline._array(2, "x", {"shape": [count], "f64le": text})
+
+    def test_save_model_allocates_under_1_mb_above_the_model(self, tmp_path):
+        # 12 MB while the document held each array's base64 as one string
+        model = _haar_64_model(np.random.default_rng(5))
+        assert _traced_peak(lambda: save_model(model, tmp_path / "m.json")) < 1_000_000
+
+    def test_load_model_peaks_at_most_2_25_times_the_file(self, tmp_path):
+        # json.loads holds the file's text and the parsed document, 2x; the
+        # whole-string decode and its float64 copy came to 2.7x
+        path = tmp_path / "m.json"
+        save_model(_haar_64_model(np.random.default_rng(5)), path)
+        assert _traced_peak(lambda: load_model(path)) <= 2.25 * path.stat().st_size
 
 
 _JSON = st.recursive(
