@@ -156,27 +156,23 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     names = {f.name for f in fields(PipelineConfig)}
     cfg = PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
-    data = ingest_dataset(args.data, split=cfg.split_fraction, seed=cfg.seed)
+    data = ingest_dataset(args.data)
     _warn_unpaired(data)
     model = train_pipeline(data, cfg)
     save_model(model, args.model)
-    n_train, n_test = data.counts()
+    trained, held_out = data.split(cfg)
     print(
-        f"trained on {n_train} samples, {len(model.class_labels)} classes, "
-        f"{model.eigenspace.k} components ({n_test} test samples held out)"
+        f"trained on {len(trained)} samples, {len(model.class_labels)} classes, "
+        f"{model.eigenspace.k} components ({len(held_out)} test samples held out)"
     )
-    print(
-        f"epoch error {model.mlp.final_error:.6g} after {model.mlp.epochs_run} epochs"
-    )
+    print(f"epoch error {model.mlp.final_error:.6g} after {model.mlp.epochs_run} epochs")
     print(f"wrote {args.model}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    data = ingest_dataset(
-        args.data, split=model.config.split_fraction, seed=model.config.seed
-    )
+    data = ingest_dataset(args.data)
     _warn_unpaired(data)
     report = evaluate(model, data, modality=args.modality)
     save_report(report, args.report)

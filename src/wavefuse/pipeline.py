@@ -2,14 +2,14 @@
 
 A dataset is a directory of class subdirectories, each holding PGM pairs
 named ``<id>_thermal.pgm`` and ``<id>_visual.pgm``. Ingesting it only pairs
-the file names and assigns the split; pixels are read where an image is
-used, so training reads the training pairs and evaluation reads the test
-images of the modality it scores. Training fuses every training pair, fits
-an eigenface basis on the fused images, projects them, and trains an MLP on
-the features against 0.1/0.9 one-hot targets (soft targets keep the sigmoid
-outputs out of saturation). Evaluation runs test pairs through the same
-chain and reports per-class and overall recognition rates plus a confusion
-grid.
+the file names, and a run's config draws the split (``Dataset.split``).
+Pixels are read where an image is used: training reads the training pairs,
+evaluation the test images of the modality it scores. Training fuses every
+training pair, fits an eigenface basis on the fused images, projects them,
+and trains an MLP on the features against 0.1/0.9 one-hot targets (soft
+targets keep the sigmoid outputs out of saturation). Evaluation runs test
+pairs through the same chain and reports per-class and overall recognition
+rates plus a confusion grid.
 
 Evaluation can also score one sensor on its own: the thermal or visual image
 of each test sample, unfused, goes through the same project-predict chain of
@@ -56,7 +56,6 @@ class Sample:
     id: str
     thermal: Path
     visual: Path
-    train: bool = False
 
     @property
     def name(self) -> str:
@@ -75,9 +74,21 @@ class Dataset:
     classes: list[ClassRecord]
     unpaired: list[str] = field(default_factory=list)
 
-    def counts(self) -> tuple[int, int]:
-        flags = [s.train for rec in self.classes for s in rec.samples]
-        return sum(flags), len(flags) - sum(flags)
+    def split(self, cfg: PipelineConfig) -> tuple[list, list]:
+        """``cfg``'s (train, test) samples: lists of (class index, sample), in dataset order.
+
+        One generator seeded with ``cfg.seed`` permutes each class in turn;
+        the first ``int(split_fraction * n + 0.5)`` of a class's n positions
+        train. So a class's split depends on the classes before it.
+        """
+        rng = np.random.default_rng(cfg.seed)
+        trained, tested = [], []
+        for ci, rec in enumerate(self.classes):
+            n = len(rec.samples)
+            chosen = set(rng.permutation(n)[: int(cfg.split_fraction * n + 0.5)].tolist())
+            for pos, s in enumerate(rec.samples):
+                (trained if pos in chosen else tested).append((ci, s))
+        return trained, tested
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,9 @@ class PipelineModel:
     mlp: MlpModel
 
     def __post_init__(self):
+        for i, label in enumerate(self.class_labels):
+            if label in self.class_labels[:i]:
+                raise DataError(f"class label {label!r} appears more than once")
         if self.mlp.config.layer_sizes[-1] != len(self.class_labels):
             raise DataError(
                 f"MLP output size {self.mlp.config.layer_sizes[-1]} does not match "
@@ -175,22 +189,19 @@ class EvaluationReport:
     config: PipelineConfig
 
 
-def ingest_dataset(root, split: float = 0.5, seed: int = 0) -> Dataset:
-    """Pair a dataset directory's file names and assign each pair to train or test.
+def ingest_dataset(root) -> Dataset:
+    """Pair a dataset directory's file names, class by class in name order.
 
     No pixels are read here: a sample holds its two paths, and each command
-    reads only the images it uses. ``split`` is the train fraction in (0, 1),
-    assigned per class from a generator seeded with ``seed``. Files lacking
-    their partner modality are skipped and listed in ``Dataset.unpaired``.
+    reads only the images it uses. Which pairs train is not decided here but
+    by ``Dataset.split`` from a run's config. Files lacking their partner
+    modality are skipped and listed in ``Dataset.unpaired``.
     """
-    if not 0.0 < typed("split", float, split) < 1.0:
-        raise DataError(f"split fraction must lie in (0, 1), got {split}")
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"dataset root {root} is not a directory")
     classes: list[ClassRecord] = []
     unpaired: list[str] = []
-    rng = np.random.default_rng(seed)
     for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         thermal = {p.name[: -len("_thermal.pgm")]: p for p in class_dir.glob("*_thermal.pgm")}
         visual = {p.name[: -len("_visual.pgm")]: p for p in class_dir.glob("*_visual.pgm")}
@@ -200,8 +211,6 @@ def ingest_dataset(root, split: float = 0.5, seed: int = 0) -> Dataset:
         paired = sorted(set(thermal) & set(visual))
         samples = [Sample(sid, thermal[sid], visual[sid]) for sid in paired]
         if samples:
-            for pos in rng.permutation(len(samples))[: int(split * len(samples) + 0.5)]:
-                samples[pos].train = True
             classes.append(ClassRecord(label=class_dir.name, samples=samples))
     if not classes:
         raise DataError(f"no classes with usable samples found under {root}")
@@ -227,14 +236,14 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
     if len(data.classes) < 2:
         raise DataError(f"need at least 2 classes to train, got {len(data.classes)}")
     labels = [rec.label for rec in data.classes]
-    chosen = [[s for s in rec.samples if s.train] for rec in data.classes]
-    for label, samples in zip(labels, chosen):
-        if not samples:
+    pairs, _ = data.split(cfg)
+    trained = {ci for ci, _ in pairs}
+    for ci, label in enumerate(labels):
+        if ci not in trained:
             raise DataError(f"class {label} has no training samples")
     # Size the network for the largest k the fit can keep (it rejects a k above
     # the data's rank) before any image is read, so a hidden layer too large
     # to allocate fails at once.
-    pairs = [(ci, s) for ci, samples in enumerate(chosen) for s in samples]
     n_train = len(pairs)
     k_max = n_train - 1 if cfg.pca_k == AUTO else min(cfg.pca_k, n_train)
     count = parameter_count((k_max, cfg.hidden, len(labels)))
@@ -283,23 +292,19 @@ def evaluate(
     if split not in ("test", "train"):
         raise DataError(f"unknown split {split!r}, expected 'test' or 'train'")
     index = {label: i for i, label in enumerate(model.class_labels)}
-    n = len(model.class_labels)
-    confusion = np.zeros((n, n), dtype=int)
     for rec in data.classes:
         if rec.label not in index:
             raise DataError(f"class {rec.label} is not known to the model")
-        ci = index[rec.label]
-        for s in rec.samples:
-            if s.train != (split == "train"):
-                continue
-            img = _image(model.config, s, modality)
-            if img.shape != model.eigenspace.input_dims:
-                raise DataError(
-                    f"pair {s.name}: {modality} dims {img.shape} differ from "
-                    f"model {model.eigenspace.input_dims}"
-                )
-            predicted, _ = predict(model.mlp, project(model.eigenspace, img))
-            confusion[ci, predicted] += 1
+    confusion = np.zeros((len(index), len(index)), dtype=int)
+    for di, s in data.split(model.config)[("train", "test").index(split)]:
+        img = _image(model.config, s, modality)
+        if img.shape != model.eigenspace.input_dims:
+            raise DataError(
+                f"pair {s.name}: {modality} dims {img.shape} differ from "
+                f"model {model.eigenspace.input_dims}"
+            )
+        predicted, _ = predict(model.mlp, project(model.eigenspace, img))
+        confusion[index[data.classes[di].label], predicted] += 1
     total = int(confusion.sum())
     if total == 0:
         raise DataError(f"{split} split is empty")
@@ -307,9 +312,7 @@ def evaluate(
     for ci, label in enumerate(model.class_labels):
         tested = int(confusion[ci].sum())
         correct = int(confusion[ci, ci])
-        per_class.append(
-            ClassResult(label, tested, correct, correct / tested if tested else 0.0)
-        )
+        per_class.append(ClassResult(label, tested, correct, correct / tested if tested else 0.0))
     overall_correct = int(np.trace(confusion))
     return EvaluationReport(
         modality=modality,

@@ -228,6 +228,24 @@ class TestTrainEvaluate:
                      "--report", str(report), "--modality", "thermal"]) == 0
         assert json.loads(report.read_text())["modality"] == "thermal"
 
+    def test_train_summary_counts_the_config_split(self, dataset, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["train", "--data", str(dataset), "--levels", "2", "--hidden", "4",
+                     "--epochs", "5", "--split", "0.25", "--model", str(tmp_path / "m.json")]) == 0
+        # 3 classes x 4 samples; int(0.25 * 4 + 0.5) = 1 of each class trains
+        assert "trained on 3 samples, 3 classes, 2 components (9 test samples held out)\n" in \
+            capsys.readouterr().out
+
+    def test_repeated_class_label_is_data_error(self, dataset, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["class_labels"] = ["class00", "class00", "class02"]
+        model = tmp_path / "repeated.json"
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--data", str(dataset), "--model", str(model),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model file {model}: class label 'class00' appears more than once\n")
+
     def test_missing_model_file_is_data_error(self, dataset, tmp_path, capsys):
         assert main(["evaluate", "--data", str(dataset),
                      "--model", str(tmp_path / "missing.json"),
@@ -294,8 +312,7 @@ class TestTrainEvaluate:
         assert main(["synth", "--classes", "2", "--per-class", "2",
                      "--rows", "16", "--cols", "16", "--out", str(out)]) == 0
         # one sample per class is trained on; break the first one's thermal file
-        trained = next(s for s in ingest_dataset(out, split=0.5, seed=0).classes[0].samples
-                       if s.train)
+        trained = ingest_dataset(out).split(PipelineConfig())[0][0][1]
         trained.thermal.write_bytes(b"P5\n2 x\n255\n\x01\x02")
         assert main(["train", "--data", str(out), "--model", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == (
@@ -304,8 +321,7 @@ class TestTrainEvaluate:
 
     def test_training_pair_dims_mismatch_names_the_pair(self, tmp_path, capsys):
         data = mixed_dims_dataset(tmp_path)
-        trained = [next(s for s in rec.samples if s.train)
-                   for rec in ingest_dataset(data, split=0.5, seed=0).classes]
+        trained = [s for _, s in ingest_dataset(data).split(PipelineConfig())[0]]
         assert main(["train", "--data", str(data), "--levels", "2",
                      "--model", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == (
@@ -317,8 +333,7 @@ class TestTrainEvaluate:
         model = tmp_path / "m.json"
         assert main(["train", "--data", str(tmp_path / "square"), "--levels", "2",
                      "--hidden", "4", "--epochs", "5", "--model", str(model)]) == 0
-        tested = next(s for s in ingest_dataset(data, split=0.5, seed=0).classes[1].samples
-                      if not s.train)
+        tested = next(s for ci, s in ingest_dataset(data).split(PipelineConfig())[1] if ci == 1)
         capsys.readouterr()
         assert main(["evaluate", "--data", str(data), "--model", str(model),
                      "--report", str(tmp_path / "r.json"), "--modality", "visual"]) == 2

@@ -5,7 +5,7 @@ import io
 import json
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,11 @@ from wavefuse.mlp import MlpConfig, MlpModel, parameter_count, predict, train
 from wavefuse.imgio import load_image, save_image
 from wavefuse.wavelet import WaveletKind
 from wavefuse.pipeline import (
+    ClassRecord,
+    Dataset,
     PipelineConfig,
     PipelineModel,
+    Sample,
     evaluate,
     format_report,
     generate_synthetic_dataset,
@@ -63,34 +66,31 @@ def small_root(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_model(small_root):
-    data = ingest_dataset(small_root, split=0.5, seed=1)
+    data = ingest_dataset(small_root)
     return train_pipeline(data, SMALL_CFG), data
 
 
 class TestIngest:
     def test_class_and_sample_counts(self, small_root):
-        data = ingest_dataset(small_root, split=0.5, seed=0)
+        data = ingest_dataset(small_root)
         assert len(data.classes) == 4
         assert all(len(rec.samples) == 6 for rec in data.classes)
         assert data.unpaired == []
 
     def test_split_counts_and_determinism(self, small_root):
-        a = ingest_dataset(small_root, split=0.5, seed=3)
-        b = ingest_dataset(small_root, split=0.5, seed=3)
-        for rec_a, rec_b in zip(a.classes, b.classes):
-            flags_a = [s.train for s in rec_a.samples]
-            flags_b = [s.train for s in rec_b.samples]
-            assert flags_a == flags_b
-            assert sum(flags_a) == 3
+        cfg = PipelineConfig(seed=3)
+        split = ingest_dataset(small_root).split(cfg)
+        assert ingest_dataset(small_root).split(cfg) == split
+        assert [ci for ci, _ in split[0]] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
 
     def test_samples_hold_the_pair_paths(self, small_root):
-        sample = ingest_dataset(small_root, split=0.5, seed=0).classes[1].samples[2]
+        sample = ingest_dataset(small_root).classes[1].samples[2]
         assert sample.thermal == small_root / "class01" / "02_thermal.pgm"
         assert sample.visual == small_root / "class01" / "02_visual.pgm"
 
     def test_no_pixels_are_read(self, small_root, monkeypatch):
         reads = _count_reads(monkeypatch)
-        ingest_dataset(small_root, split=0.5, seed=0)
+        ingest_dataset(small_root)
         assert reads == []
 
     def test_unpaired_files_listed_and_skipped(self, tmp_path):
@@ -99,7 +99,7 @@ class TestIngest:
         save_image(np.full((8, 8), 0.5), cdir / "x_thermal.pgm")
         save_image(np.full((8, 8), 0.5), cdir / "x_visual.pgm")
         save_image(np.full((8, 8), 0.5), cdir / "lonely_thermal.pgm")
-        data = ingest_dataset(tmp_path, split=0.5, seed=0)
+        data = ingest_dataset(tmp_path)
         assert data.unpaired == ["a/lonely_thermal.pgm"]
         assert [s.id for s in data.classes[0].samples] == ["x"]
 
@@ -108,19 +108,65 @@ class TestIngest:
         cdir.mkdir()
         save_image(np.full((8, 8), 0.5), cdir / "lonely_thermal.pgm")
         with pytest.raises(DataError, match="no classes"):
-            ingest_dataset(tmp_path, split=0.5, seed=0)
+            ingest_dataset(tmp_path)
 
     def test_empty_root_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no classes"):
-            ingest_dataset(tmp_path, split=0.5, seed=0)
+            ingest_dataset(tmp_path)
 
-    def test_bad_fraction_rejected(self, small_root):
-        with pytest.raises(DataError, match="fraction"):
-            ingest_dataset(small_root, split=1.0)
 
-    def test_split_is_a_fraction_only(self, small_root):
-        with pytest.raises(DataError, match="split must be a number"):
-            ingest_dataset(small_root, split={"class00": ["00", "01"]})
+def _classes(*sizes) -> Dataset:
+    """A dataset of classes with ``sizes`` samples each, as paths alone (no files)."""
+    return Dataset([
+        ClassRecord(f"c{ci}", [Sample(f"{i:02d}", Path(f"c{ci}/{i:02d}_thermal.pgm"),
+                                      Path(f"c{ci}/{i:02d}_visual.pgm")) for i in range(n)])
+        for ci, n in enumerate(sizes)
+    ])
+
+
+def _reference_split(data: Dataset, fraction: float, seed: int):
+    """The split rule written out: one generator, a permutation per class, a flag per sample."""
+    rng = np.random.default_rng(seed)
+    sides = ([], [])
+    for ci, rec in enumerate(data.classes):
+        flags = [False] * len(rec.samples)
+        for pos in rng.permutation(len(rec.samples))[: int(fraction * len(rec.samples) + 0.5)]:
+            flags[pos] = True
+        for s, flag in zip(rec.samples, flags):
+            sides[0 if flag else 1].append((ci, s))
+    return sides
+
+
+SPLIT_CASES = [(0.5, 0), (0.5, 1), (0.4, 0), (0.7, 3), (0.25, 2), (0.6, 2), (0.99, 5), (0.01, 7)]
+
+
+class TestSplit:
+    @pytest.mark.parametrize("fraction, seed", SPLIT_CASES)
+    def test_matches_the_reference_rule(self, fraction, seed):
+        data = _classes(1, 6, 3, 1, 7, 2, 10)
+        cfg = PipelineConfig(split_fraction=fraction, seed=seed)
+        assert data.split(cfg) == _reference_split(data, fraction, seed)
+
+    @pytest.mark.parametrize("fraction, seed", SPLIT_CASES)
+    def test_sides_partition_each_class(self, fraction, seed):
+        data = _classes(1, 6, 3, 1, 7, 2, 10)
+        trained, tested = data.split(PipelineConfig(split_fraction=fraction, seed=seed))
+        for ci, rec in enumerate(data.classes):
+            train_ids = [s.id for c, s in trained if c == ci]
+            test_ids = [s.id for c, s in tested if c == ci]
+            assert len(train_ids) == int(fraction * len(rec.samples) + 0.5)
+            assert sorted(train_ids + test_ids) == [s.id for s in rec.samples]
+
+    def test_one_dataset_serves_two_configs(self, small_root, monkeypatch):
+        data = ingest_dataset(small_root)
+        reads = _count_reads(monkeypatch)
+        a, b = PipelineConfig(seed=0), PipelineConfig(split_fraction=0.7, seed=3)
+        split_a, split_b = data.split(a), data.split(b)
+        assert split_a != split_b
+        assert data.split(a) == split_a == _reference_split(data, 0.5, 0)
+        assert split_b == _reference_split(data, 0.7, 3)
+        assert data == ingest_dataset(small_root)  # splitting leaves the dataset as ingested
+        assert reads == []
 
 
 class TestTrainPipeline:
@@ -133,16 +179,18 @@ class TestTrainPipeline:
 
     def test_single_class_rejected(self, tmp_path):
         generate_synthetic_dataset(1, 4, (16, 16), seed=0, out_dir=tmp_path)
-        data = ingest_dataset(tmp_path, split=0.5, seed=0)
+        data = ingest_dataset(tmp_path)
         with pytest.raises(DataError, match="classes"):
             train_pipeline(data, SMALL_CFG)
 
-    def test_class_without_training_samples_rejected(self, small_root):
-        data = ingest_dataset(small_root, split=0.5, seed=1)
-        for s in data.classes[1].samples:
-            s.train = False
+    def test_class_without_training_samples_rejected(self, tmp_path):
+        # a 1-sample class at fraction 0.4 keeps its sample for testing (0.4 + 0.5 < 1)
+        generate_synthetic_dataset(3, 3, (16, 16), seed=0, out_dir=tmp_path)
+        for path in (tmp_path / "class01").glob("0[12]_*.pgm"):
+            path.unlink()
+        data = ingest_dataset(tmp_path)
         with pytest.raises(DataError, match="class class01 has no training samples"):
-            train_pipeline(data, SMALL_CFG)
+            train_pipeline(data, replace(SMALL_CFG, split_fraction=0.4))
 
     def test_pair_dim_mismatch_rejected(self, tmp_path):
         for label, visual_dims in (("a", (8, 10)), ("b", (8, 8))):
@@ -150,24 +198,25 @@ class TestTrainPipeline:
             cdir.mkdir()
             save_image(np.full((8, 8), 0.5), cdir / "x_thermal.pgm")
             save_image(np.full(visual_dims, 0.5), cdir / "x_visual.pgm")
-        data = ingest_dataset(tmp_path, split=0.5, seed=0)
-        assert data.classes[0].samples[0].train  # one sample per class: all are trained on
+        data = ingest_dataset(tmp_path)
+        # one sample per class: all are trained on
+        assert [s for _, s in data.split(SMALL_CFG)[0]] == [rec.samples[0] for rec in data.classes]
         with pytest.raises(DataError, match=re.escape(
                 "pair a/x: thermal dims (8, 8) differ from visual dims (8, 10)")):
             train_pipeline(data, SMALL_CFG)
 
     def test_reads_each_training_pair_once(self, small_root, monkeypatch):
-        data = ingest_dataset(small_root, split=0.5, seed=1)
+        data = ingest_dataset(small_root)
         reads = _count_reads(monkeypatch)
-        train_pipeline(data, PipelineConfig(levels=3, epochs=5, hidden=4))
-        assert reads == [path for rec in data.classes for s in rec.samples if s.train
-                         for path in (s.thermal, s.visual)]
+        cfg = PipelineConfig(levels=3, epochs=5, hidden=4)
+        train_pipeline(data, cfg)
+        assert reads == [path for _, s in data.split(cfg)[0] for path in (s.thermal, s.visual)]
         assert len(reads) == 24  # 2 per training pair
 
     @pytest.mark.parametrize("pca_k", ["auto", 5])
     def test_oversized_network_fails_before_any_image_is_read(self, small_root, monkeypatch,
                                                              pca_k):
-        data = ingest_dataset(small_root, split=0.5, seed=1)
+        data = ingest_dataset(small_root)
         reads = _count_reads(monkeypatch)
         with pytest.raises(MemoryError, match="Unable to allocate"):
             train_pipeline(data, PipelineConfig(levels=3, hidden=10**15, pca_k=pca_k))
@@ -178,7 +227,7 @@ class TestTrainPipeline:
     @pytest.mark.parametrize("hidden", [10**17, 10**18])
     def test_network_numpy_cannot_size_fails_as_memory_error(self, small_root, monkeypatch,
                                                              hidden):
-        data = ingest_dataset(small_root, split=0.5, seed=1)
+        data = ingest_dataset(small_root)
         reads = _count_reads(monkeypatch)
         count = parameter_count((11, hidden, 4))  # 12 training pairs, 4 classes
         with pytest.raises(MemoryError, match=f"^Unable to allocate a network of {count} float64 "):
@@ -186,14 +235,14 @@ class TestTrainPipeline:
         assert reads == []
 
     def test_fixed_pca_k_is_respected(self, small_root):
-        data = ingest_dataset(small_root, split=0.5, seed=1)
+        data = ingest_dataset(small_root)
         model = train_pipeline(data, PipelineConfig(levels=3, epochs=20, hidden=8, pca_k=5))
         assert model.eigenspace.k == 5
         assert model.mlp.config.layer_sizes[0] == 5
 
     def test_reproducible_models(self, small_root):
-        data1 = ingest_dataset(small_root, split=0.5, seed=1)
-        data2 = ingest_dataset(small_root, split=0.5, seed=1)
+        data1 = ingest_dataset(small_root)
+        data2 = ingest_dataset(small_root)
         m1 = train_pipeline(data1, SMALL_CFG)
         m2 = train_pipeline(data2, SMALL_CFG)
         assert np.array_equal(m1.eigenspace.basis, m2.eigenspace.basis)
@@ -204,15 +253,13 @@ class TestTrainPipeline:
         # train_pipeline takes the features from the rows the fit centred in
         # place; the reference fits a list and projects each fused image.
         generate_synthetic_dataset(3, 4, (19, 23), seed=2, out_dir=tmp_path)
-        data = ingest_dataset(tmp_path, split=0.5, seed=0)
+        data = ingest_dataset(tmp_path)
         cfg = PipelineConfig(wavelet=wavelet, levels=3, epochs=30, hidden=6)
         images, targets = [], []
-        for ci, rec in enumerate(data.classes):
-            for s in rec.samples:
-                if s.train:
-                    images.append(fuse_images(load_image(s.thermal), load_image(s.visual),
-                                              cfg.wavelet, cfg.levels, cfg.policy))
-                    targets.append(np.where(np.arange(3) == ci, 0.9, 0.1))
+        for ci, s in _reference_split(data, cfg.split_fraction, cfg.seed)[0]:
+            images.append(fuse_images(load_image(s.thermal), load_image(s.visual),
+                                      cfg.wavelet, cfg.levels, cfg.policy))
+            targets.append(np.where(np.arange(3) == ci, 0.9, 0.1))
         eigenspace = fit_eigenspace(images, k=cfg.pca_k)
         features = [project(eigenspace, img) for img in images]
         net = train(cfg.mlp_config((eigenspace.k, cfg.hidden, 3)), list(zip(features, targets)))
@@ -273,8 +320,8 @@ class TestEvaluate:
         model, data = small_model
         reads = _count_reads(monkeypatch)
         report = evaluate(model, data, modality=modality)
-        assert reads == [getattr(s, sensor) for rec in data.classes for s in rec.samples
-                         if not s.train for sensor in sensors]
+        assert reads == [getattr(s, sensor) for _, s in data.split(model.config)[1]
+                         for sensor in sensors]
         assert len(reads) == len(sensors) * report.overall_tested == len(sensors) * 12
 
     @pytest.mark.parametrize("modality", ["thermal", "visual"])
@@ -296,20 +343,33 @@ class TestEvaluate:
         assert report.split == "train"
         assert report.overall_tested == 12  # 4 classes x 3 training samples
 
-    def test_empty_test_split_rejected(self, small_root, small_model):
+    def test_empty_test_split_rejected(self, small_model, tmp_path):
+        # 1-sample classes at fraction 0.5 train on every sample (0.5 + 0.5 = 1)
         model, _ = small_model
-        data = ingest_dataset(small_root, split=0.5, seed=1)
-        for rec in data.classes:
-            for s in rec.samples:
-                s.train = True
+        generate_synthetic_dataset(4, 1, (16, 16), seed=5, out_dir=tmp_path)
+        data = ingest_dataset(tmp_path)
+        assert data.split(model.config)[1] == []
         with pytest.raises(DataError, match="empty"):
             evaluate(model, data)
+
+    def test_evaluation_reads_no_image_training_read(self, small_root, monkeypatch):
+        data = ingest_dataset(small_root)
+        cfg = PipelineConfig(levels=3, epochs=5, hidden=4, split_fraction=0.7, seed=3)
+        reads = _count_reads(monkeypatch)
+        model = train_pipeline(data, cfg)
+        trained = set(reads)
+        reads.clear()
+        for modality in ("fused", "thermal", "visual"):
+            evaluate(model, data, modality=modality)
+        assert len(trained) == 2 * 4 * 4  # 4 of each class's 6 pairs train at 0.7
+        assert trained.isdisjoint(reads)
+        assert trained | set(reads) == set(small_root.glob("*/*.pgm"))
 
     def test_unknown_class_rejected(self, small_model, tmp_path):
         model, _ = small_model
         generate_synthetic_dataset(2, 2, (16, 16), seed=9, out_dir=tmp_path)
         (tmp_path / "class00").rename(tmp_path / "stranger")
-        data = ingest_dataset(tmp_path, split=0.5, seed=0)
+        data = ingest_dataset(tmp_path)
         with pytest.raises(DataError, match="not known"):
             evaluate(model, data)
 
@@ -333,7 +393,7 @@ class TestGenerator:
 
     def test_smallest_fixture_runs_end_to_end(self, tmp_path):
         out = generate_synthetic_dataset(2, 2, (16, 16), seed=1, out_dir=tmp_path / "d")
-        data = ingest_dataset(out, split=0.5, seed=0)
+        data = ingest_dataset(out)
         model = train_pipeline(data, PipelineConfig(levels=2, epochs=5, hidden=4))
         report = evaluate(model, data)
         assert report.overall_tested == 2
@@ -444,6 +504,15 @@ class TestPersistence:
         path = tmp_path / "m.json"
         save_model(load_model(MODEL_V2), path)
         assert path.read_bytes() == MODEL_V2.read_bytes()
+
+    def test_repeated_class_label_rejected(self, tmp_path):
+        doc = json.loads(MODEL_V2.read_text())
+        doc["class_labels"] = ["class00", "class00"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(
+                f"model file {path}: class label 'class00' appears more than once")):
+            load_model(path)
 
     def test_v1_model_file_saves_as_the_v2_bytes(self, tmp_path):
         path = tmp_path / "m.json"
