@@ -15,7 +15,6 @@ from .pipeline import (
     generate_synthetic_dataset,
     ingest_dataset,
     load_model,
-    report_dict,
     save_model,
     save_report,
     train_pipeline,
@@ -67,7 +66,6 @@ __all__ = [
     "project",
     "reconstruct",
     "reconstruct_from_features",
-    "report_dict",
     "save_image",
     "save_model",
     "save_report",

@@ -158,9 +158,15 @@ def _cmd_train(args) -> int:
     cfg = PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
     data = ingest_dataset(args.data)
     _warn_unpaired(data)
+    # every class needs a test sample, or no evaluate of this model can score it
+    trained, held_out = data.split(cfg)
+    tested = {ci for ci, _ in held_out}
+    for ci, rec in enumerate(data.classes):
+        if ci not in tested:
+            raise DataError(
+                f"class {rec.label} has no test samples at --split {cfg.split_fraction}")
     model = train_pipeline(data, cfg)
     save_model(model, args.model)
-    trained, held_out = data.split(cfg)
     print(
         f"trained on {len(trained)} samples, {len(model.class_labels)} classes, "
         f"{model.eigenspace.k} components ({len(held_out)} test samples held out)"

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from wavefuse import cli
+from wavefuse import cli, pipeline
 from wavefuse.cli import main
 from wavefuse.errors import NumericError
 from wavefuse.imgio import load_image, save_image
@@ -235,6 +235,20 @@ class TestTrainEvaluate:
         # 3 classes x 4 samples; int(0.25 * 4 + 0.5) = 1 of each class trains
         assert "trained on 3 samples, 3 classes, 2 components (9 test samples held out)\n" in \
             capsys.readouterr().out
+
+    def test_split_that_holds_out_nothing_is_rejected_before_any_read(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        out, model = tmp_path / "data", tmp_path / "m.json"
+        assert main(["synth", "--classes", "5", "--per-class", "3",
+                     "--rows", "16", "--cols", "16", "--out", str(out)]) == 0
+        reads = []
+        monkeypatch.setattr(pipeline, "load_image", reads.append)
+        capsys.readouterr()
+        # int(0.9 * 3 + 0.5) = 3: every sample of every class would train
+        assert main(["train", "--data", str(out), "--split", "0.9", "--model", str(model)]) == 2
+        assert capsys.readouterr().err == "error: class class00 has no test samples at --split 0.9\n"
+        assert not model.exists()
+        assert reads == []
 
     def test_repeated_class_label_is_data_error(self, dataset, model_path, tmp_path, capsys):
         doc = json.loads(model_path.read_text())

@@ -23,6 +23,7 @@ from wavefuse.wavelet import WaveletKind
 from wavefuse.pipeline import (
     ClassRecord,
     Dataset,
+    EvaluationReport,
     PipelineConfig,
     PipelineModel,
     Sample,
@@ -31,7 +32,6 @@ from wavefuse.pipeline import (
     generate_synthetic_dataset,
     ingest_dataset,
     load_model,
-    report_dict,
     save_model,
     save_report,
     train_pipeline,
@@ -277,15 +277,15 @@ class TestEvaluate:
     def test_report_arithmetic_invariants(self, small_model):
         model, data = small_model
         report = evaluate(model, data)
-        assert report.overall_tested == sum(r.tested for r in report.per_class)
-        assert report.overall_correct == sum(r.correct for r in report.per_class)
+        assert report.overall.tested == sum(r.tested for r in report.per_class)
+        assert report.overall.correct == sum(r.correct for r in report.per_class)
         for ci, row in enumerate(report.confusion):
-            assert row.sum() == report.per_class[ci].tested
+            assert sum(row) == report.per_class[ci].tested
         for r in report.per_class:
             if r.tested:
                 assert r.rate == pytest.approx(r.correct / r.tested)
-        assert report.overall_rate == pytest.approx(
-            report.overall_correct / report.overall_tested
+        assert report.overall.rate == pytest.approx(
+            report.overall.correct / report.overall.tested
         )
 
     def test_modalities_accepted_and_labeled(self, small_model):
@@ -310,7 +310,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(pipeline, "fuse_images", counted)
         report = evaluate(model, data, modality=modality)
-        assert len(calls) == calls_per_sample * report.overall_tested == calls_per_sample * 12
+        assert len(calls) == calls_per_sample * report.overall.tested == calls_per_sample * 12
 
     @pytest.mark.parametrize("modality, sensors", [
         ("fused", ("thermal", "visual")), ("thermal", ("thermal",)), ("visual", ("visual",)),
@@ -322,7 +322,7 @@ class TestEvaluate:
         report = evaluate(model, data, modality=modality)
         assert reads == [getattr(s, sensor) for _, s in data.split(model.config)[1]
                          for sensor in sensors]
-        assert len(reads) == len(sensors) * report.overall_tested == len(sensors) * 12
+        assert len(reads) == len(sensors) * report.overall.tested == len(sensors) * 12
 
     @pytest.mark.parametrize("modality", ["thermal", "visual"])
     def test_sensor_image_predicts_as_its_self_fusion(self, small_model, modality):
@@ -341,7 +341,7 @@ class TestEvaluate:
         model, data = small_model
         report = evaluate(model, data, split="train")
         assert report.split == "train"
-        assert report.overall_tested == 12  # 4 classes x 3 training samples
+        assert report.overall.tested == 12  # 4 classes x 3 training samples
 
     def test_empty_test_split_rejected(self, small_model, tmp_path):
         # 1-sample classes at fraction 0.5 train on every sample (0.5 + 0.5 = 1)
@@ -373,6 +373,20 @@ class TestEvaluate:
         with pytest.raises(DataError, match="not known"):
             evaluate(model, data)
 
+    def test_missing_model_class_rejected_before_any_read(self, tmp_path, monkeypatch):
+        # without class01, the shared generator would re-split class02 and
+        # score its training images as test images
+        generate_synthetic_dataset(3, 6, (16, 16), seed=0, out_dir=tmp_path)
+        cfg = PipelineConfig(levels=2, epochs=5, hidden=4)
+        model = train_pipeline(ingest_dataset(tmp_path), cfg)
+        for p in (tmp_path / "class01").iterdir():
+            p.unlink()
+        data = ingest_dataset(tmp_path)
+        reads = _count_reads(monkeypatch)
+        with pytest.raises(DataError, match="^model class class01 is missing from the dataset$"):
+            evaluate(model, data)
+        assert reads == []
+
 
 class TestGenerator:
     def test_file_counts_and_layout(self, tmp_path):
@@ -396,7 +410,7 @@ class TestGenerator:
         data = ingest_dataset(out)
         model = train_pipeline(data, PipelineConfig(levels=2, epochs=5, hidden=4))
         report = evaluate(model, data)
-        assert report.overall_tested == 2
+        assert report.overall.tested == 2
 
     def test_modalities_complement_each_other(self, tmp_path):
         out = generate_synthetic_dataset(6, 4, (32, 32), seed=2, out_dir=tmp_path / "d")
@@ -477,18 +491,37 @@ class TestPersistence:
         path = tmp_path / "r.json"
         save_report(report, path)
         doc = json.loads(path.read_text())
-        assert doc["overall"]["tested"] == report.overall_tested
+        assert doc["overall"]["tested"] == report.overall.tested
         assert doc["modality"] == "fused"
         assert len(doc["per_class"]) == 4
-        assert doc["confusion"] == report.confusion.tolist()
+        assert doc["confusion"] == report.confusion
         table = format_report(report)
         assert "overall" in table
         assert "class00" in table
 
-    def test_report_dict_round_trips_through_json(self, small_model):
+    def test_report_document_round_trips_through_json(self, small_model):
         model, data = small_model
-        doc = report_dict(evaluate(model, data))
+        doc = pipeline._json_fields(evaluate(model, data))
         assert doc == json.loads(json.dumps(doc))
+
+    def test_report_keys_are_the_report_fields(self, small_model, tmp_path):
+        model, data = small_model
+        path = tmp_path / "r.json"
+        save_report(evaluate(model, data), path)
+        assert list(json.loads(path.read_text())) == [f.name for f in fields(EvaluationReport)]
+
+    @pytest.mark.parametrize("modality", ["fused", "thermal", "visual"])
+    def test_report_bytes_are_pinned(self, tmp_path, modality):
+        # pinned from report_dict, the hand-written encoder before _json_fields
+        pin = MODEL_V2.parent / f"report_{modality}"
+        root = tmp_path / "data"
+        generate_synthetic_dataset(2, 4, (8, 8), seed=0, out_dir=root)
+        save_image(np.full((8, 8), 0.5), root / "class00" / "lonely_thermal.pgm")
+        report = evaluate(load_model(MODEL_V2), ingest_dataset(root), modality=modality)
+        path = tmp_path / "r.json"
+        save_report(report, path)
+        assert path.read_bytes() == pin.with_suffix(".json").read_bytes()
+        assert format_report(report) + "\n" == pin.with_suffix(".txt").read_text()
 
     def test_trained_model_save_load_save_is_byte_identical(self, small_model, tmp_path):
         # A trained basis is Fortran-ordered and a loaded one C-ordered; the
@@ -536,7 +569,7 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         assert list(doc["config"]) == [f.name for f in fields(PipelineConfig)]
         assert list(doc["eigenspace"]) == ["input_dims", "mean", "eigenvalues", "basis"]
-        assert list(report_dict(evaluate(model, data))["per_class"][0]) == [
+        assert list(pipeline._json_fields(evaluate(model, data))["per_class"][0]) == [
             "label", "tested", "correct", "rate"
         ]
 

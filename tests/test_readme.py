@@ -27,4 +27,4 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     assert np.max(np.abs(namespace["round_trip"] - thermal)) < 1e-9
     assert (len(namespace["trained"]), len(namespace["held_out"])) == (24, 24)
     assert namespace["model"].eigenspace.k == 20
-    assert capsys.readouterr().out == f"{namespace['report'].overall_rate}\n"
+    assert capsys.readouterr().out == f"{namespace['report'].overall.rate}\n"
