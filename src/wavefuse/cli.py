@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import sys
 from dataclasses import fields
 
@@ -60,7 +61,13 @@ def _add_rule_args(p):
     p.add_argument("--detail-rule", choices=rules, default=PipelineConfig.detail_rule.value)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process, as building it takes about 1.5 ms.
+
+    The ``_cmd_*`` functions it binds read this module's globals when they
+    run, so a patched ``load_image`` or ``train_pipeline`` still takes effect.
+    """
     parser = _Parser(
         prog="wavefuse",
         description="Fuse thermal/visual image pairs in the wavelet domain and "

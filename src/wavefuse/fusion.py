@@ -95,6 +95,6 @@ def fuse_images(
     visual = np.asarray(visual, dtype=np.float64)
     if thermal.shape != visual.shape:
         raise DataError(f"image dims differ: {thermal.shape} vs {visual.shape}")
-    t = decompose(thermal, kind, levels)
-    v = decompose(visual, kind, levels)
-    return reconstruct(fuse_trees(t, v, policy))
+    fused = fuse_trees(decompose(thermal, kind, levels), decompose(visual, kind, levels), policy)
+    # the two input trees are freed by now, before the inverse sweep allocates
+    return reconstruct(fused)

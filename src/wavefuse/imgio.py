@@ -89,7 +89,7 @@ def _decode(data: bytes) -> np.ndarray:
             raise PgmError("malformed header: missing separator before raster", pos)
         pos += 1
         width = 2 if maxval > 255 else 1
-        raster = data[pos : pos + count * width]
+        raster = memoryview(data)[pos : pos + count * width]
         if len(raster) < count * width:
             raise PgmError(
                 f"truncated pixel data: expected {count * width} bytes, got {len(raster)}",
@@ -114,7 +114,8 @@ def _decode(data: bytes) -> np.ndarray:
         samples = values
     if samples.max(initial=0) > maxval:
         raise PgmError(f"pixel value exceeds maxval {maxval}")
-    return (samples / float(maxval)).reshape(rows, cols)
+    samples /= float(maxval)
+    return samples.reshape(rows, cols)
 
 
 def save_image(img: np.ndarray, path) -> None:
@@ -130,9 +131,14 @@ def save_image(img: np.ndarray, path) -> None:
     if not np.all(np.isfinite(img)):
         raise DataError("image contains non-finite pixels")
     rows, cols = img.shape
-    levels = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
-    header = f"P5\n{cols} {rows}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + levels.tobytes())
+    # one float buffer, scaled and rounded in place
+    levels = np.clip(img, 0.0, 1.0)
+    levels *= 255.0
+    levels += 0.5
+    np.floor(levels, out=levels)
+    with open(path, "wb") as f:
+        f.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
+        f.write(levels.astype(np.uint8, order="C"))
 
 
 def pad_to_block(img: np.ndarray, block: int) -> tuple[np.ndarray, tuple[int, int]]:

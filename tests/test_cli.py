@@ -1,12 +1,14 @@
 """Command-line interface: flags, outputs, and exit codes."""
 
 import ctypes
+import hashlib
 import json
 import platform
 import resource
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,10 @@ import pytest
 from wavefuse import cli, pipeline
 from wavefuse.cli import main
 from wavefuse.errors import NumericError
+from wavefuse.fusion import fuse_images
 from wavefuse.imgio import load_image, save_image
 from wavefuse.mlp import parameter_count
-from wavefuse.pipeline import PipelineConfig, ingest_dataset
+from wavefuse.pipeline import PipelineConfig, generate_synthetic_dataset, ingest_dataset
 
 
 @pytest.fixture()
@@ -113,6 +116,15 @@ class TestFuse:
                      "--out", str(tmp_path / "f.pgm")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_cached_parser_carries_nothing_between_calls(self, pair, tmp_path, capsys):
+        t_path, v_path = pair
+        assert main(["fuse", "--thermal", str(t_path), "--levels", "two"]) == 1
+        assert main(_fuse_argv(t_path, v_path, tmp_path / "haar.pgm")
+                    + ["--wavelet", "haar", "--levels", "3", "--approx-rule", "average"]) == 0
+        assert main(_fuse_argv(t_path, v_path, tmp_path / "bare.pgm")) == 0
+        save_image(fuse_images(load_image(t_path), load_image(v_path)), tmp_path / "lib.pgm")
+        assert (tmp_path / "bare.pgm").read_bytes() == (tmp_path / "lib.pgm").read_bytes()
+
     def test_mismatched_dims_names_both_files(self, pair, tmp_path, capsys):
         t_path, _ = pair
         small = tmp_path / "small.pgm"
@@ -125,6 +137,30 @@ class TestFuse:
 
 def _fuse_argv(thermal, visual, out):
     return ["fuse", "--thermal", str(thermal), "--visual", str(visual), "--out", str(out)]
+
+
+FUSE_DIGESTS = Path(__file__).parent / "data" / "fuse_digests.json"
+# case name -> (rows, cols, extra fuse flags); 509 and 240 need padding to 2^5
+FUSE_CASES = {
+    "db2-509x509-default": (509, 509, []),
+    "haar-240x320-maxabs": (240, 320, ["--wavelet", "haar", "--approx-rule", "maxabs",
+                                       "--detail-rule", "maxabs"]),
+}
+
+
+class TestFuseBytes:
+    """The fused PGM's bytes are pinned, so a kernel change that moves one pixel fails."""
+
+    @pytest.mark.parametrize("case", sorted(FUSE_CASES))
+    def test_fused_pgm_matches_pinned_digest(self, case, tmp_path, capsys):
+        rows, cols, flags = FUSE_CASES[case]
+        data = generate_synthetic_dataset(1, 1, (rows, cols), 0, tmp_path / "data")
+        out = tmp_path / "fused.pgm"
+        argv = _fuse_argv(data / "class00" / "00_thermal.pgm",
+                          data / "class00" / "00_visual.pgm", out) + flags
+        assert main(argv) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == json.loads(FUSE_DIGESTS.read_text())[case]
 
 
 def _no_libc(name):

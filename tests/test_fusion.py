@@ -5,11 +5,15 @@ re-implements the selection masks with scalar comparisons, independent of
 any array shape or tree bookkeeping.
 """
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wavefuse.errors import DataError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_coeffs, fuse_images, fuse_trees
+from wavefuse.imgio import load_image, save_image
 from wavefuse.wavelet import WaveletKind, decompose
 
 ALL_RULES = [FusionRule.MAX_ABS, FusionRule.MIN_ABS, FusionRule.AVERAGE]
@@ -151,3 +155,48 @@ class TestFuseImages:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DataError, match="dims"):
             fuse_images(np.ones((8, 8)), np.ones((8, 10)))
+
+    def test_non_2d_images_rejected(self):
+        with pytest.raises(DataError, match=re.escape("got shape (4, 4, 2)")):
+            fuse_images(np.ones((4, 4, 2)), np.ones((4, 4, 2)))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates on top of what is live before it."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFusePathMemory:
+    """Peaks of one 509x509 fuse's steps, in images of 509 x 509 float64s.
+
+    The decomposition pads each image to 512 x 512 (1.01 images). Each
+    sweep holds its tree and two block-sized products; the inverse sweep
+    adds the fused tree's copy, so keeping both input trees alive through
+    it peaks at 6.3 images.
+    """
+
+    IMAGE = 509 * 509 * 8
+
+    @pytest.fixture()
+    def pair(self):
+        rng = np.random.default_rng(23)
+        return rng.random((509, 509)), rng.random((509, 509))
+
+    def test_fuse_images_peak(self, pair):
+        assert traced_peak(fuse_images, *pair) <= 5 * self.IMAGE
+
+    def test_save_image_peak(self, pair, tmp_path):
+        # one float buffer for clip, scale and round, then the uint8 levels
+        assert traced_peak(save_image, pair[0], tmp_path / "f.pgm") <= 1.5 * self.IMAGE
+
+    def test_load_image_peak(self, pair, tmp_path):
+        # the file's bytes and one float array, divided in place
+        save_image(pair[0], tmp_path / "f.pgm")
+        assert traced_peak(load_image, tmp_path / "f.pgm") <= 1.5 * self.IMAGE

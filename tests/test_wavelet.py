@@ -9,16 +9,19 @@ mismatch against linear algebra done a completely different way.
 
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
 from wavefuse.errors import DataError
+from wavefuse.imgio import pad_to_block
 from wavefuse.wavelet import (
     DecompositionTree,
     WaveletKind,
     _operator,
+    _transpose_into,
     decompose,
     export_tree,
     filter_bank,
@@ -94,6 +97,22 @@ class TestFilterBank:
         padded[: fb.length] = fb.lo_d
         for shift in (2, 4, 6):
             assert abs(np.dot(padded, np.roll(padded, shift))) <= 1e-12
+
+
+def per_level_sweep(coeffs, kind, levels, synthesis):
+    """A copy of ``coeffs`` swept level by level with numpy's plain transposes.
+
+    Synthesis applies scipy's transpose of each analysis operator, not the
+    cached CSR copy.
+    """
+    out = coeffs.copy()
+    rows, cols = out.shape
+    for level in reversed(range(levels)) if synthesis else range(levels):
+        block = out[: rows >> level, : cols >> level]
+        a_r, a_c = (_operator(kind, n).T if synthesis else _operator(kind, n)
+                    for n in block.shape)
+        block[...] = (a_c @ np.ascontiguousarray((a_r @ block).T)).T
+    return out
 
 
 def dwt2(img, kind):
@@ -188,13 +207,8 @@ class TestIdwt2:
     @pytest.mark.parametrize("dims, levels", [((2, 2), 1), ((33, 70), 3)])
     def test_cached_csr_transpose_is_bitwise_the_transpose(self, kind, dims, levels):
         tree = decompose(np.random.default_rng(17).random(dims), kind, levels)
-        expected = tree.coeffs.copy()
-        rows, cols = expected.shape
-        for level in reversed(range(levels)):
-            block = expected[: rows >> level, : cols >> level]
-            a_r, a_c = (_operator(kind, n).T for n in block.shape)
-            block[...] = (a_c @ np.ascontiguousarray((a_r @ block).T)).T
-        assert _operator(kind, cols, True).format == "csr"
+        expected = per_level_sweep(tree.coeffs, kind, levels, synthesis=True)
+        assert _operator(kind, expected.shape[1], True).format == "csr"
         np.testing.assert_array_equal(reconstruct(tree), expected[: dims[0], : dims[1]])
 
     def test_roundtrip_db2_small(self):
@@ -208,6 +222,34 @@ class TestIdwt2:
             DecompositionTree(WaveletKind.HAAR, np.zeros((4, 6)), 2, (4, 6))
         with pytest.raises(DataError, match="dims"):
             DecompositionTree(WaveletKind.HAAR, np.zeros(4), 1, (4, 1))
+
+
+class TestPanelTransposes:
+    """Blocks with a dim that is a multiple of 512 transpose in 64-row panels."""
+
+    @pytest.mark.parametrize("shape", [(512, 600), (600, 512), (1024, 70), (3, 512), (37, 41)])
+    def test_transpose_into_is_bitwise_the_transpose(self, shape):
+        src = np.random.default_rng(5).random(shape)
+        wide = np.zeros((shape[1], shape[0] + 9))
+        dst = wide[:, : shape[0]]
+        assert _transpose_into(src, dst) is dst
+        assert dst.tobytes() == src.T.tobytes()
+        assert not wide[:, shape[0] :].any()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("dims, levels", [
+        ((509, 509), 5), ((600, 512), 3), ((512, 600), 3), ((600, 392), 3), ((1040, 520), 3),
+    ], ids=["509x509-panels", "600x512-panels", "512x600-panels", "600x392-plain",
+            "1040x520-plain"])
+    def test_sweep_is_bitwise_the_per_level_formula(self, kind, dims, levels):
+        img = np.random.default_rng(19).random(dims)
+        tree = decompose(img, kind, levels)
+        padded, _ = pad_to_block(img, 2**levels)
+        assert tree.coeffs.tobytes() == per_level_sweep(padded, kind, levels, False).tobytes()
+        out = reconstruct(tree)
+        expected = per_level_sweep(tree.coeffs, kind, levels, True)[: dims[0], : dims[1]]
+        assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert np.abs(out - img).max() <= 1e-9
 
 
 class TestDecomposeReconstruct:
@@ -268,6 +310,11 @@ class TestDecomposeReconstruct:
         img[3, 5] = bad
         with pytest.raises(DataError, match="non-finite"):
             decompose(img, WaveletKind.HAAR, 2)
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 4, 2), (0, 4), (4, 0)])
+    def test_non_2d_or_empty_image_rejected(self, shape):
+        with pytest.raises(DataError, match=re.escape(f"2D image, got shape {shape}")):
+            decompose(np.ones(shape), "db2", 1)
 
     def test_bad_levels_rejected(self):
         with pytest.raises(DataError):
