@@ -96,25 +96,22 @@ def _operator(kind: WaveletKind, n: int, synthesis: bool = False) -> sparse.csr_
     return sparse.csr_matrix((values, (rows, np.tile(cols, 2))), shape=(n, n))
 
 
-# A transpose walks one side down its columns. When a dim is a multiple of 512
-# float64s (4 KiB, the span of the L1 cache's sets), the lines of that walk
-# share cache sets and numpy's plain transpose of a 512 x 512 block takes
-# 1.0-1.2 ms, 5x a straight copy (11 ms at 1024 x 1024). Copying 64 rows at a
-# time keeps a walk's lines in cache: 0.5-0.6 ms at 512 x 512. Blocks with
-# no such dim (240 x 320, 600 x 392, 1040 x 520) transpose as fast plainly,
-# and there the panels cost up to 2x, so the rule is the dims, not the area.
-_ALIASING_DIM = 512
+# A transpose walks one side down its columns. numpy's plain transpose of a
+# 512 x 512 block takes 1.0-1.2 ms, 5x a straight copy, as the lines of that
+# walk share cache sets (11 ms at 1024 x 1024). Copying 64 rows at a time
+# keeps a walk's lines in cache: 0.5-0.6 ms at 512 x 512. A block of at most
+# 64 rows is one panel, copied without the loop, whose slicing cost 8 % of a
+# 64 x 64 fuse.
 _PANEL_ROWS = 64
 
 
 def _transpose_into(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Write ``src.T`` into ``dst`` and return ``dst``; a copy, so exact."""
-    rows, cols = src.shape
-    if rows % _ALIASING_DIM and cols % _ALIASING_DIM:
+    if src.shape[0] <= _PANEL_ROWS:
         dst[...] = src.T
-    else:
-        for i in range(0, rows, _PANEL_ROWS):
-            dst[:, i : i + _PANEL_ROWS] = src[i : i + _PANEL_ROWS].T
+        return dst
+    for i in range(0, src.shape[0], _PANEL_ROWS):
+        dst[:, i : i + _PANEL_ROWS] = src[i : i + _PANEL_ROWS].T
     return dst
 
 

@@ -5,8 +5,6 @@ The oracle materializes the full pixel-by-pixel covariance matrix (fine at
 checked against the definition it is supposed to equal.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -211,21 +209,14 @@ class TestInPlaceFit:
         reference = reference * np.where(reference[np.arange(k), lead] < 0, -1.0, 1.0)[:, None]
         assert basis.tobytes() == reference.tobytes()
 
-    def test_peak_memory_stays_near_one_basis(self):
+    def test_peak_memory_stays_near_one_basis(self, traced_peak):
         # One D x k basis (0.18 MB here) plus the N x N eigenproblem; a D x k
         # temporary (0.54 MB peak) or an N x D copy of the data (1.1 MB)
         # exceeds the limit.
         n, rows, cols, k = 60, 48, 48, 10
         d = rows * cols
         images = np.random.default_rng(7).random((n, rows, cols))
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fit_eigenspace(images, k=k)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(fit_eigenspace, images, k)
         assert peak <= d * k * 8 + 8 * n * n * 8, peak
 
 

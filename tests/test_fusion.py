@@ -6,7 +6,6 @@ any array shape or tree bookkeeping.
 """
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,18 +160,6 @@ class TestFuseImages:
             fuse_images(np.ones((4, 4, 2)), np.ones((4, 4, 2)))
 
 
-def traced_peak(fn, *args):
-    """Peak bytes that ``fn(*args)`` allocates on top of what is live before it."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestFusePathMemory:
     """Peaks of one 509x509 fuse's steps, in images of 509 x 509 float64s.
 
@@ -189,14 +176,14 @@ class TestFusePathMemory:
         rng = np.random.default_rng(23)
         return rng.random((509, 509)), rng.random((509, 509))
 
-    def test_fuse_images_peak(self, pair):
+    def test_fuse_images_peak(self, pair, traced_peak):
         assert traced_peak(fuse_images, *pair) <= 5 * self.IMAGE
 
-    def test_save_image_peak(self, pair, tmp_path):
+    def test_save_image_peak(self, pair, tmp_path, traced_peak):
         # one float buffer for clip, scale and round, then the uint8 levels
         assert traced_peak(save_image, pair[0], tmp_path / "f.pgm") <= 1.5 * self.IMAGE
 
-    def test_load_image_peak(self, pair, tmp_path):
+    def test_load_image_peak(self, pair, tmp_path, traced_peak):
         # the file's bytes and one float array, divided in place
         save_image(pair[0], tmp_path / "f.pgm")
         assert traced_peak(load_image, tmp_path / "f.pgm") <= 1.5 * self.IMAGE

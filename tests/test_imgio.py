@@ -1,7 +1,6 @@
 """PGM reading/writing, normalization, padding, and cropping."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,17 +63,15 @@ class TestLoadImage:
 
     @pytest.mark.parametrize("header", [b"P2 3000 3000 255\n", b"P2 100000 100000 255\n"],
                              ids=["3000x3000", "100000x100000"])
-    def test_p2_pixel_count_checked_before_allocating(self, tmp_path, header):
+    def test_p2_pixel_count_checked_before_allocating(self, tmp_path, header, traced_peak):
         path = tmp_path / "img.pgm"
         path.write_bytes(header + b"0\n")
-        tracemalloc.start()
-        try:
+
+        def load_truncated():
             with pytest.raises(PgmError, match="truncated pixel data"):
                 load_image(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+
+        assert traced_peak(load_truncated) < 1_000_000
 
     def test_p2_with_tight_separators_loads(self, tmp_path):
         # two bytes per pixel is the least a P2 raster can take

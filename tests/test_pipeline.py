@@ -4,7 +4,6 @@ import base64
 import io
 import json
 import re
-import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -623,17 +622,6 @@ def _haar_64_model(rng) -> PipelineModel:
     return PipelineModel(cfg, [f"class{i:02d}" for i in range(10)], eigenspace, net)
 
 
-def _traced_peak(call) -> int:
-    """The most bytes ``call()`` has allocated at once, by tracemalloc."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 class TestStreamedArrays:
     """Arrays are written to and read from a model file's base64 in pieces."""
 
@@ -684,17 +672,17 @@ class TestStreamedArrays:
         with pytest.raises(DataError, match="^x: f64le is not valid base64"):
             pipeline._array(2, "x", {"shape": [count], "f64le": text})
 
-    def test_save_model_allocates_under_1_mb_above_the_model(self, tmp_path):
+    def test_save_model_allocates_under_1_mb_above_the_model(self, tmp_path, traced_peak):
         # 12 MB while the document held each array's base64 as one string
         model = _haar_64_model(np.random.default_rng(5))
-        assert _traced_peak(lambda: save_model(model, tmp_path / "m.json")) < 1_000_000
+        assert traced_peak(save_model, model, tmp_path / "m.json") < 1_000_000
 
-    def test_load_model_peaks_at_most_2_25_times_the_file(self, tmp_path):
+    def test_load_model_peaks_at_most_2_25_times_the_file(self, tmp_path, traced_peak):
         # json.loads holds the file's text and the parsed document, 2x; the
         # whole-string decode and its float64 copy came to 2.7x
         path = tmp_path / "m.json"
         save_model(_haar_64_model(np.random.default_rng(5)), path)
-        assert _traced_peak(lambda: load_model(path)) <= 2.25 * path.stat().st_size
+        assert traced_peak(load_model, path) <= 2.25 * path.stat().st_size
 
 
 _JSON = st.recursive(
