@@ -12,6 +12,14 @@ weight matrix (fan-out x fan-in, C order) in layer order, then every bias.
 Its gradients and momentum velocities share that layout, so one momentum
 step is four whole-vector operations. The initial values are drawn in that
 order too: all weights, then all biases.
+
+Each weight gradient, the outer product of a layer's delta and its input
+activations, is computed as a k = 1 matrix product, which BLAS writes as a
+rank-1 update. numpy's broadcast ``multiply.outer`` does not vectorise it
+(about 1.4 ns per entry) and was the largest single cost of a step: 12.9 us
+of about 44 at 100 x 95, against 6.5 us as a matrix product. Each entry is
+still the one rounded product ``delta_i * a_j``, so trained weights are
+bitwise the same.
 """
 
 from __future__ import annotations
@@ -149,7 +157,13 @@ def _backprop(model: MlpModel, x, target, grads_w, grads_b) -> float:
     loss = 0.5 * float((err**2).sum())
     delta = np.multiply(err * out, 1.0 - out, out=grads_b[-1])
     for layer in range(len(grads_w) - 1, -1, -1):
-        np.multiply.outer(delta, acts[layer], out=grads_w[layer])
+        # A k = 1 matrix product, twice as fast as np.multiply.outer and with the
+        # same one product per entry. Only an exact zero's sign may differ (BLAS
+        # writes +0.0 where the multiply may give -0.0, e.g. where 1 - a == 0).
+        # In train that sign reaches a velocity only when momentum * velocity is
+        # -0.0, and a parameter only when it is -0.0, which none is: the initial
+        # draw gives no -0.0, and p + v is -0.0 only when both are.
+        np.dot(delta[:, None], acts[layer][None, :], out=grads_w[layer])
         if layer:
             a = acts[layer]
             delta = np.multiply(model.weights[layer].T @ delta * a, 1.0 - a, out=grads_b[layer - 1])
@@ -183,12 +197,17 @@ def _validate_data(config: MlpConfig, data):
         if t.shape != (n_out,):
             raise DataError(f"sample {i} target shape {t.shape}, expected ({n_out},)")
         xs[i], ts[i] = x, t
+    for what, values in (("input", xs), ("target", ts)):
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise DataError(f"sample {bad[0]} {what} is not finite")
     return xs, ts
 
 
 def train(config: MlpConfig, data) -> MlpModel:
     """Fit a network to (input, target) pairs by backpropagation with momentum.
 
+    Rejects a non-finite input or target as a DataError naming the sample.
     Stops early once an epoch's mean per-sample error drops to
     ``config.target_error``; raises NumericError, naming the epoch, if the
     loss or any parameter turns non-finite (sigmoid outputs keep the loss

@@ -5,13 +5,18 @@ differences of the loss, the one oracle that needs nothing but repeated
 forward passes.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from wavefuse.errors import DataError, NumericError
-from wavefuse.mlp import MlpConfig, MlpModel, _views, forward, loss_and_gradients, predict, train
+from wavefuse.mlp import (MlpConfig, MlpModel, _views, forward, loss_and_gradients, parameter_count,
+                         predict, train)
 
 XOR_DATA = [
     (np.array([0.0, 0.0]), np.array([0.0])),
@@ -71,6 +76,59 @@ def numeric_gradients(model, x, target, h=1e-5):
 
 def relative_error(a, n):
     return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
+
+
+MLP_DIGESTS = Path(__file__).parent / "data" / "mlp_digests.json"
+# case name -> (layer sizes, momentum, input scale). The protocols' two nets at
+# their learning rate; inputs of scale 100 drive most hidden units to a == 1.0,
+# where 1 - a == 0 makes their deltas, and so their weight gradients, exactly zero
+PIN_CASES = {
+    "46-100-10": ((46, 100, 10), 0.9, 1.0),
+    "95-100-10": ((95, 100, 10), 0.9, 1.0),
+    "46-100-10-momentum-0": ((46, 100, 10), 0.0, 1.0),
+    "46-100-10-saturated": ((46, 100, 10), 0.9, 100.0),
+    "46-100-10-saturated-momentum-0": ((46, 100, 10), 0.0, 100.0),
+}
+
+
+def pin_model(case):
+    """The network ``case`` trains: 4 samples per class, 10 epochs at lr 0.01."""
+    sizes, momentum, scale = PIN_CASES[case]
+    rng = np.random.default_rng(5)
+    data = [(scale * rng.standard_normal(sizes[0]), np.eye(sizes[-1])[i % sizes[-1]])
+            for i in range(4 * sizes[-1])]
+    cfg = MlpConfig(layer_sizes=sizes, learning_rate=0.01, momentum=momentum, epochs=10,
+                    seed=3, target_error=0.0)
+    return cfg, data
+
+
+def initial_model(cfg):
+    """The network ``train`` starts from: its seeded draw of every parameter."""
+    init = np.random.default_rng(cfg.seed).uniform(-0.5, 0.5, parameter_count(cfg.layer_sizes))
+    return MlpModel(cfg, *_views(init, cfg.layer_sizes))
+
+
+def trained_digest(case):
+    model = train(*pin_model(case))
+    return hashlib.sha256(b"".join(p.tobytes() for p in model.weights + model.biases)).hexdigest()
+
+
+def arithmetic_digest():
+    """sha256 of the matrix-vector products and sigmoids at the pinned nets' sizes.
+
+    The trained bytes depend on the order in which the BLAS sums a product and
+    on the sigmoid's last bit, both of which vary with the CPU kernel and the
+    platform's libraries; where these differ from the recording, the pins
+    cannot hold.
+    """
+    rng = np.random.default_rng(0)
+    h = hashlib.sha256()
+    for n_out, n_in in ((100, 46), (100, 95), (10, 100)):
+        w = rng.uniform(-0.5, 0.5, (n_out, n_in))
+        h.update((w @ rng.standard_normal(n_in)).tobytes())
+        h.update((w.T @ rng.standard_normal(n_out)).tobytes())
+    h.update(expit(40.0 * rng.standard_normal(1000)).tobytes())
+    return h.hexdigest()
 
 
 class TestForward:
@@ -149,6 +207,24 @@ class TestGradients:
         loss, _, _ = loss_and_gradients(model, x, t)
         out = forward(model, x)[-1]
         assert loss == pytest.approx(0.5 * np.sum((out - t) ** 2), abs=1e-15)
+
+    @pytest.mark.parametrize("case", ["46-100-10", "46-100-10-saturated"])
+    def test_weight_gradients_equal_outer_products(self, case):
+        # Each weight gradient entry is one rounded product delta_i * a_j, so
+        # every way of forming it gives the same values. Only the sign of an
+        # exact zero may differ: a BLAS product adds to 0.0 and writes +0.0
+        # where the broadcast multiply writes -0.0. array_equal counts the two
+        # as equal; the saturated case has such zeros, where 1 - a == 0
+        cfg, data = pin_model(case)
+        model = initial_model(cfg)
+        zeros = 0
+        for x, t in data:
+            _, grads_w, grads_b = loss_and_gradients(model, x, t)
+            for grad, delta, a in zip(grads_w, grads_b, forward(model, x)):
+                expected = np.multiply.outer(delta, a)
+                assert np.array_equal(grad, expected)
+                zeros += int((expected == 0.0).sum())
+        assert (zeros > 0) == ("saturated" in case)
 
 
 class TestTrain:
@@ -267,11 +343,36 @@ class TestTrain:
         with pytest.raises(DataError, match="shape"):
             train(MlpConfig(layer_sizes=(2, 1)), [(np.zeros(3), np.zeros(1))])
 
+    @pytest.mark.parametrize("field, bad", [("input", math.nan), ("target", math.inf)])
+    def test_non_finite_sample_rejected_before_training(self, field, bad):
+        # caught as bad data, not as training that diverged at epoch 1
+        data = [(np.zeros(2), np.zeros(1)) for _ in range(3)]
+        data[1][0 if field == "input" else 1][0] = bad
+        with pytest.raises(DataError, match=f"sample 1 {field} is not finite"):
+            train(MlpConfig(layer_sizes=(2, 1)), data)
+
     def test_early_stop_on_target_error(self):
         cfg = MlpConfig(layer_sizes=(2, 4, 1), learning_rate=0.5, momentum=0.9, epochs=5000, seed=42, target_error=0.05)
         model = train(cfg, XOR_DATA)
         assert model.epochs_run < 5000
         assert model.final_error <= 0.05
+
+
+class TestTrainedWeightsPinned:
+    """``train``'s parameter bytes are pinned, so a change to how a step computes moves a digest.
+
+    ``test_equals_reference_loop_bitwise`` builds its reference from
+    ``loss_and_gradients``, which runs the same step, so it cannot see such a
+    change. The digests were recorded with the weight gradient written by
+    ``np.multiply.outer``, before it became a BLAS rank-1 product.
+    """
+
+    @pytest.mark.parametrize("case", sorted(PIN_CASES))
+    def test_trained_parameters_match_pinned_digest(self, case):
+        pins = json.loads(MLP_DIGESTS.read_text())
+        if arithmetic_digest() != pins["arithmetic"]:
+            pytest.skip("this BLAS or libm rounds the forward pass differently from the recording")
+        assert trained_digest(case) == pins["trained"][case]
 
 
 class TestPredict:
