@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import base64
 import binascii
-import inspect
 import json
 import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +39,7 @@ from .mlp import MlpConfig, MlpModel, parameter_count, predict, train, typed
 from .wavelet import WaveletKind
 
 MODALITIES = ("fused", "thermal", "visual")
-MODEL_FORMAT_VERSION = 2  # load_model also reads format 1
+MODEL_FORMAT_VERSION = 3
 
 _NOISE_SIGMA = 0.02
 _TEXTURE_SIGMA = 0.02
@@ -77,13 +75,14 @@ class Dataset:
     def split(self, cfg: PipelineConfig) -> tuple[list, list]:
         """``cfg``'s (train, test) samples: lists of (class index, sample), in dataset order.
 
-        One generator seeded with ``cfg.seed`` permutes each class in turn;
-        the first ``int(split_fraction * n + 0.5)`` of a class's n positions
-        train. So a class's split depends on the classes before it.
+        Each class is permuted by its own generator, seeded with ``cfg.seed``
+        and the bytes of its label; the first ``int(split_fraction * n + 0.5)``
+        of its n positions train. So a class's split depends only on its own
+        files, not on the classes beside it.
         """
-        rng = np.random.default_rng(cfg.seed)
         trained, tested = [], []
         for ci, rec in enumerate(self.classes):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *rec.label.encode()]))
             n = len(rec.samples)
             chosen = set(rng.permutation(n)[: int(cfg.split_fraction * n + 0.5)].tolist())
             for pos, s in enumerate(rec.samples):
@@ -165,6 +164,9 @@ class PipelineModel:
                 f"MLP input size {self.mlp.config.layer_sizes[0]} does not match "
                 f"eigenspace size {self.eigenspace.k}"
             )
+        shared = self.config.mlp_config(self.mlp.config.layer_sizes)
+        if self.mlp.config != shared:
+            raise DataError(f"mlp.config {self.mlp.config} does not match config's {shared}")
 
 
 @dataclass
@@ -448,37 +450,14 @@ def _write_base64(f, values: np.ndarray) -> None:
             f.write(binascii.b2a_base64(raw[start : start + _PIECE], newline=False))
 
 
-def _decode_into(text: str, count: int) -> np.ndarray | None:
-    """Decode base64 ``text`` into a new array of ``count`` float64s, one piece at a time.
+def _array(name: str, value) -> np.ndarray:
+    """Decode one stored array, a ``{shape, f64le}`` object, piece by piece into its result.
 
-    Returns None, having decoded nothing or only part, where the text's
-    length or padding does not give ``8 * count`` bytes or a piece is not
-    valid base64, so the caller can rerun the whole-string decode for its
-    message. Each piece is 4-character aligned and only the last quantum may
-    hold ``=``, so the pieces are valid exactly when the whole text is.
+    The buffer is sized from the text, never from the shape, so a shape that
+    claims more than the text holds allocates nothing. Each piece is
+    4-character aligned and only the text's last quantum may hold ``=``, so
+    the pieces are valid exactly when the whole text is.
     """
-    size = len(text) // 4 * 3 - (text.endswith("=") + text.endswith("=="))
-    if len(text) % 4 or size != 8 * count or text.find("=", 0, len(text) - 4) != -1:
-        return None
-    out = np.empty(count, dtype="<f8")
-    buf = memoryview(out).cast("B")
-    step = _PIECE // 3 * 4
-    for start in range(0, len(text), step):
-        # the whole-string check, piece by piece (binascii's strict_mode
-        # would need Python 3.11)
-        try:
-            piece = base64.b64decode(text[start : start + step], validate=True)
-        except ValueError:
-            return None
-        at = start // 4 * 3
-        buf[at : at + len(piece)] = piece
-    return out
-
-
-def _array(version: int, name: str, value) -> np.ndarray:
-    """Decode one stored array: a nested list in format 1, a ``{shape, f64le}`` object after."""
-    if version == 1:
-        return np.array(value, dtype=np.float64)
     if not isinstance(value, dict) or set(value) != {"shape", "f64le"}:
         raise DataError(f"{name} must be a JSON object with keys shape, f64le")
     shape, text = value["shape"], value["f64le"]
@@ -486,75 +465,68 @@ def _array(version: int, name: str, value) -> np.ndarray:
         raise DataError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
     if not isinstance(text, str):
         raise DataError(f"{name}: f64le must be a base64 string")
-    values = _decode_into(text, math.prod(shape))
-    if values is None:
-        # the whole-string decode, for its messages: invalid base64 is
-        # reported before a byte count that does not fit the shape
+    if text.find("=", 0, len(text) - 4) != -1:  # a piece ending there would decode alone
+        raise DataError(f"{name}: f64le is not valid base64: '=' before the last quantum")
+    buf = bytearray(len(text) // 4 * 3)
+    size, step = 0, _PIECE // 3 * 4
+    for start in range(0, len(text), step):
         try:
-            raw = base64.b64decode(text, validate=True)
+            piece = base64.b64decode(text[start : start + step], validate=True)
         except ValueError as exc:
             raise DataError(f"{name}: f64le is not valid base64: {exc}") from None
-        # the byte count is checked before the shape sizes anything
-        if len(raw) != 8 * math.prod(shape):
-            raise DataError(f"{name}: {len(raw)} bytes do not hold float64 shape {shape}")
-        values = np.frombuffer(raw, dtype="<f8").copy()
-    return values.astype(np.float64, copy=False).reshape(shape)
+        buf[size : size + len(piece)] = piece
+        size += len(piece)
+    if size != 8 * math.prod(shape):
+        raise DataError(f"{name}: {size} bytes do not hold float64 shape {shape}")
+    return np.frombuffer(buf, "<f8", size // 8).astype(np.float64, copy=False).reshape(shape)
 
 
-def _section(doc: dict, name: str, build):
-    """``build(**doc[name])``; the keys must be ``build``'s parameters, else a DataError."""
-    section, keys = doc.get(name), list(inspect.signature(build).parameters)
-    if not isinstance(section, dict) or set(section) != set(keys):
-        raise DataError(f"field {name} must be a JSON object with keys {', '.join(keys)}")
+def _from_json(kind, value, name: str):
+    """``value``, read from a model file, as a ``kind``: the inverse of ``_json_fields``.
+
+    ``name`` is the value's path in the document, "" for the document itself.
+    A dataclass's keys must be exactly its fields; each field is decoded by
+    its type, then the dataclass is built, so its own checks run. Anything
+    malformed is a DataError naming the field.
+    """
+    where = f"field {name}" if name else "the document"
+    if is_dataclass(kind):
+        keys = [f.name for f in fields(kind)]
+        if not isinstance(value, dict) or set(value) != set(keys):
+            raise DataError(f"{where} must be a JSON object with keys {', '.join(keys)}")
+        hints = typing.get_type_hints(kind)
+        decoded = {key: _from_json(hints[key], value[key], f"{name}.{key}" if name else key)
+                   for key in keys}
+        try:
+            return kind(**decoded)
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}" if name else str(exc)) from exc
+    if kind is np.ndarray:
+        return _array(where, value)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise DataError(f"{where} must be a list, got {type(value).__name__}")
+        return [_from_json(typing.get_args(kind)[0], item, f"{name}[{i}]")
+                for i, item in enumerate(value)]
+    if kind is str:
+        if not isinstance(value, str):
+            raise DataError(f"{where} must be a string, got {value!r}")
+        return value
     try:
-        return build(**section)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"field {name}: {exc}") from exc
-
-
-def _eigenspace(array, input_dims, mean, eigenvalues, basis) -> EigenspaceModel:
-    return EigenspaceModel(
-        input_dims, array("mean", mean), array("eigenvalues", eigenvalues), array("basis", basis)
-    )
-
-
-def _mlp_model(cfg: PipelineConfig, array, layer_sizes, activation, weights, biases, epochs_run,
-               final_error) -> MlpModel:
-    if activation != "sigmoid":
-        raise DataError(f"activation must be 'sigmoid', got {activation!r}")
-    if not (isinstance(weights, list) and isinstance(biases, list)):
-        raise DataError("weights and biases must be lists of arrays")
-    return MlpModel(
-        config=cfg.mlp_config(layer_sizes),
-        weights=[array(f"weights[{i}]", w) for i, w in enumerate(weights)],
-        biases=[array(f"biases[{i}]", b) for i, b in enumerate(biases)],
-        epochs_run=_typed("epochs_run", int, epochs_run),
-        final_error=_typed("final_error", float, final_error),
-    )
+        return _typed(where, kind, value)
+    except OverflowError as exc:  # an integer beyond float range
+        raise DataError(f"{where}: {exc}") from None
 
 
 def save_model(model: PipelineModel, path) -> None:
-    """Persist a model as one JSON document; arrays are stored as exact float64 bytes.
+    """Persist a model as one JSON document: ``format_version``, then ``_json_fields(model)``.
 
-    The document goes to the file as ``json`` encodes it, and each array's
-    base64 is written in pieces straight from the array's buffer (a
-    Fortran-ordered one three rows at a time), so neither the file's text
-    nor a second copy of an array is ever held.
+    Arrays are stored as exact float64 bytes. The document goes to the file as
+    ``json`` encodes it, and each array's base64 is written in pieces straight
+    from the array's buffer (a Fortran-ordered one three rows at a time), so
+    neither the file's text nor a second copy of an array is ever held.
     """
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "config": _json_fields(model.config),
-        "class_labels": list(model.class_labels),
-        "eigenspace": _json_fields(model.eigenspace),
-        "mlp": {
-            "layer_sizes": list(model.mlp.config.layer_sizes),
-            "activation": "sigmoid",
-            "weights": _json_fields(model.mlp.weights),
-            "biases": _json_fields(model.mlp.biases),
-            "epochs_run": model.mlp.epochs_run,
-            "final_error": model.mlp.final_error,
-        },
-    }
+    doc = {"format_version": MODEL_FORMAT_VERSION, **_json_fields(model)}
     # json.dump's chunks, except for the arrays: the encoder calls ``default``
     # on reaching one and next yields the encoding of what it returned, so
     # that chunk is the array's place, whatever text the labels hold
@@ -578,13 +550,11 @@ def save_model(model: PipelineModel, path) -> None:
 
 
 def load_model(path) -> PipelineModel:
-    """Read a model file of format 1 or 2; anything malformed is a DataError.
+    """Read a model file of format 3; anything malformed is a DataError naming the file.
 
-    The two formats differ only in how arrays are stored: nested decimal lists
-    in 1, base64 float64 bytes in 2. Errors name the file and the field.
     Parsing holds the file's text and the parsed document, about twice the
-    file's size; each format-2 array is then decoded piece by piece into the
-    array it becomes.
+    file's size; each array is then decoded piece by piece into the array it
+    becomes. Formats 1 and 2 are rejected: retrain to upgrade.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -594,20 +564,12 @@ def load_model(path) -> PipelineModel:
     try:
         if not isinstance(doc, dict):
             raise DataError(f"must hold a JSON object, got {type(doc).__name__}")
-        version = doc.get("format_version")
-        if type(version) is not int or version not in (1, 2):
-            raise DataError(f"unsupported model format version {version!r}, expected 1 or 2")
-        labels = doc.get("class_labels")
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise DataError("field class_labels must be a list of strings")
-        array = partial(_array, version)
-        cfg = _section(doc, "config", PipelineConfig)
-        return PipelineModel(
-            config=cfg,
-            class_labels=labels,
-            eigenspace=_section(doc, "eigenspace", partial(_eigenspace, array)),
-            mlp=_section(doc, "mlp", partial(_mlp_model, cfg, array)),
-        )
+        version = doc.pop("format_version", None)
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise DataError(
+                f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
+            )
+        return _from_json(PipelineModel, doc, "")
     except DataError as exc:
         raise DataError(f"model file {path}: {exc}") from exc
 

@@ -245,8 +245,22 @@ def mixed_dims_dataset(tmp_path):
 class TestTrainEvaluate:
     def test_train_writes_model_and_summary(self, model_path, capsys):
         doc = json.loads(model_path.read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert len(doc["class_labels"]) == 3
+
+    def test_format_2_model_file_is_rejected(self, dataset, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        # format 2's mlp section: layer_sizes and activation in place of config
+        mlp = doc["mlp"]
+        doc["format_version"] = 2
+        doc["mlp"] = {"layer_sizes": mlp.pop("config")["layer_sizes"], "activation": "sigmoid",
+                      **mlp}
+        model = tmp_path / "v2.json"
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--data", str(dataset), "--model", str(model),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: model file {model}: unsupported model format version 2, expected 3\n")
 
     def test_evaluate_writes_report(self, dataset, model_path, capsys):
         report = dataset.parent / "report.json"

@@ -37,11 +37,10 @@ from wavefuse.pipeline import (
 )
 
 SMALL_CFG = PipelineConfig(levels=3, epochs=200, hidden=20, seed=0)
-# A small v1 model file (2 classes x 4 samples at 8x8, db2 at 2 levels, k 2,
-# hidden 3, 20 epochs), and the same model saved as v2; loading either and
-# saving it must give the v2 bytes.
-MODEL_V1 = Path(__file__).parent / "data" / "model_v1.json"
-MODEL_V2 = Path(__file__).parent / "data" / "model_v2.json"
+# A small format-3 model file (2 classes x 4 samples at 8x8, db2 at 2 levels,
+# k 2, hidden 3, 20 epochs); loading it and saving it must give its bytes.
+MODEL_V3 = Path(__file__).parent / "data" / "model_v3.json"
+_V3_DOC = json.loads(MODEL_V3.read_text())
 
 
 def _count_reads(monkeypatch) -> list:
@@ -124,10 +123,12 @@ def _classes(*sizes) -> Dataset:
 
 
 def _reference_split(data: Dataset, fraction: float, seed: int):
-    """The split rule written out: one generator, a permutation per class, a flag per sample."""
-    rng = np.random.default_rng(seed)
+    """The split rule written out: a generator per class, seeded with the seed and the
+    label's bytes, one permutation of the class, a flag per sample."""
     sides = ([], [])
     for ci, rec in enumerate(data.classes):
+        entropy = [seed] + list(rec.label.encode("utf-8"))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         flags = [False] * len(rec.samples)
         for pos in rng.permutation(len(rec.samples))[: int(fraction * len(rec.samples) + 0.5)]:
             flags[pos] = True
@@ -155,6 +156,15 @@ class TestSplit:
             test_ids = [s.id for c, s in tested if c == ci]
             assert len(train_ids) == int(fraction * len(rec.samples) + 0.5)
             assert sorted(train_ids + test_ids) == [s.id for s in rec.samples]
+
+    @pytest.mark.parametrize("fraction, seed", SPLIT_CASES)
+    def test_a_class_count_change_moves_no_other_class(self, fraction, seed):
+        cfg = PipelineConfig(split_fraction=fraction, seed=seed)
+        before = _classes(1, 6, 3, 1, 7, 2, 10).split(cfg)
+        after = _classes(1, 5, 3, 1, 7, 2, 10).split(cfg)  # class c1 loses its last sample
+        for side_before, side_after in zip(before, after):
+            assert ([(ci, s) for ci, s in side_before if ci != 1]
+                    == [(ci, s) for ci, s in side_after if ci != 1])
 
     def test_one_dataset_serves_two_configs(self, small_root, monkeypatch):
         data = ingest_dataset(small_root)
@@ -373,8 +383,7 @@ class TestEvaluate:
             evaluate(model, data)
 
     def test_missing_model_class_rejected_before_any_read(self, tmp_path, monkeypatch):
-        # without class01, the shared generator would re-split class02 and
-        # score its training images as test images
+        # a report without class01 would read as that class recognised at 0 %
         generate_synthetic_dataset(3, 6, (16, 16), seed=0, out_dir=tmp_path)
         cfg = PipelineConfig(levels=2, epochs=5, hidden=4)
         model = train_pipeline(ingest_dataset(tmp_path), cfg)
@@ -385,6 +394,23 @@ class TestEvaluate:
         with pytest.raises(DataError, match="^model class class01 is missing from the dataset$"):
             evaluate(model, data)
         assert reads == []
+
+    def test_class_that_lost_a_pair_scores_no_training_image(self, tmp_path, monkeypatch):
+        # With one generator shared across classes, this scored class01/05, a
+        # training image, among the test images. Now no other class can move.
+        # class00 itself re-draws its split at 5 samples; this draw keeps its
+        # three training pairs, which another draw need not do.
+        generate_synthetic_dataset(3, 6, (16, 16), seed=0, out_dir=tmp_path)
+        cfg = PipelineConfig(levels=2, epochs=5, hidden=4)
+        reads = _count_reads(monkeypatch)
+        model = train_pipeline(ingest_dataset(tmp_path), cfg)
+        trained = set(reads)
+        for p in (tmp_path / "class00").glob("05_*.pgm"):
+            p.unlink()
+        reads.clear()
+        report = evaluate(model, ingest_dataset(tmp_path))
+        assert report.overall.tested == 8  # class00 held out 3 of 6, and lost one of them
+        assert len(trained) == 2 * 9 and trained.isdisjoint(reads)
 
 
 class TestGenerator:
@@ -451,10 +477,21 @@ class TestPersistence:
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert doc["config"]["wavelet"] == "db2"
         assert doc["config"]["split_fraction"] == 0.5
-        assert doc["mlp"]["activation"] == "sigmoid"
+        assert doc["mlp"]["config"] == {"layer_sizes": [model.eigenspace.k, 20, 4],
+                                        "learning_rate": 0.1, "momentum": 0.9, "epochs": 200,
+                                        "seed": 0, "target_error": 0.001}
+
+    def test_model_file_keys_are_the_model_fields(self, small_model, tmp_path):
+        model, _ = small_model
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format_version"] + [f.name for f in fields(PipelineModel)]
+        assert list(doc["mlp"]) == [f.name for f in fields(MlpModel)]
+        assert list(doc["mlp"]["config"]) == [f.name for f in fields(MlpConfig)]
 
     def test_wrong_version_rejected(self, small_model, tmp_path):
         model, _ = small_model
@@ -512,11 +549,11 @@ class TestPersistence:
     @pytest.mark.parametrize("modality", ["fused", "thermal", "visual"])
     def test_report_bytes_are_pinned(self, tmp_path, modality):
         # pinned from report_dict, the hand-written encoder before _json_fields
-        pin = MODEL_V2.parent / f"report_{modality}"
+        pin = MODEL_V3.parent / f"report_{modality}"
         root = tmp_path / "data"
         generate_synthetic_dataset(2, 4, (8, 8), seed=0, out_dir=root)
         save_image(np.full((8, 8), 0.5), root / "class00" / "lonely_thermal.pgm")
-        report = evaluate(load_model(MODEL_V2), ingest_dataset(root), modality=modality)
+        report = evaluate(load_model(MODEL_V3), ingest_dataset(root), modality=modality)
         path = tmp_path / "r.json"
         save_report(report, path)
         assert path.read_bytes() == pin.with_suffix(".json").read_bytes()
@@ -524,7 +561,7 @@ class TestPersistence:
 
     def test_trained_model_save_load_save_is_byte_identical(self, small_model, tmp_path):
         # A trained basis is Fortran-ordered and a loaded one C-ordered; the
-        # model_v2.json pin below covers only the loaded layout.
+        # model_v3.json pin below covers only the loaded layout.
         model, _ = small_model
         assert not model.eigenspace.basis.flags.c_contiguous
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -532,13 +569,13 @@ class TestPersistence:
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_v2_model_file_bytes_are_pinned(self, tmp_path):
+    def test_v3_model_file_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "m.json"
-        save_model(load_model(MODEL_V2), path)
-        assert path.read_bytes() == MODEL_V2.read_bytes()
+        save_model(load_model(MODEL_V3), path)
+        assert path.read_bytes() == MODEL_V3.read_bytes()
 
     def test_repeated_class_label_rejected(self, tmp_path):
-        doc = json.loads(MODEL_V2.read_text())
+        doc = json.loads(MODEL_V3.read_text())
         doc["class_labels"] = ["class00", "class00"]
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -546,20 +583,30 @@ class TestPersistence:
                 f"model file {path}: class label 'class00' appears more than once")):
             load_model(path)
 
-    def test_v1_model_file_saves_as_the_v2_bytes(self, tmp_path):
+    def test_mlp_config_that_differs_from_the_config_rejected(self, tmp_path):
+        doc = json.loads(MODEL_V3.read_text())
+        doc["mlp"]["config"]["learning_rate"] = 0.2
         path = tmp_path / "m.json"
-        save_model(load_model(MODEL_V1), path)
-        assert path.read_bytes() == MODEL_V2.read_bytes()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(
+                f"model file {path}: mlp.config MlpConfig(layer_sizes=(2, 3, 2), "
+                "learning_rate=0.2,")) as info:
+            load_model(path)
+        assert "does not match config's MlpConfig(layer_sizes=(2, 3, 2), learning_rate=0.1," \
+            in str(info.value)
 
-    def test_v1_and_v2_files_decode_to_equal_arrays(self):
-        old, new = load_model(MODEL_V1), load_model(MODEL_V2)
-        pairs = [(getattr(old.eigenspace, name), getattr(new.eigenspace, name))
-                 for name in ("mean", "eigenvalues", "basis")]
-        pairs += list(zip(old.mlp.weights + old.mlp.biases, new.mlp.weights + new.mlp.biases))
-        for a, b in pairs:
-            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-            assert b.flags.writeable
+    def test_huge_shape_is_rejected_without_allocating(self, tmp_path, traced_peak):
+        doc = json.loads(MODEL_V3.read_text())
+        doc["eigenspace"]["mean"] = {"shape": [2**40], "f64le": "AAAAAAAAAAA="}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+
+        def load():
+            with pytest.raises(DataError, match=re.escape(
+                    "field eigenspace.mean: 8 bytes do not hold float64 shape [1099511627776]")):
+                load_model(path)
+
+        assert traced_peak(load) < 1_000_000
 
     def test_config_keys_are_the_config_fields(self, small_model, tmp_path):
         model, data = small_model
@@ -573,18 +620,20 @@ class TestPersistence:
         ]
 
     @pytest.mark.parametrize("section, key, value, match", [
-        ("mlp", "activation", "tanh", "activation"),
-        ("mlp", "weights", [[[0.0]]], "need 2 weight"),
+        ("mlp", "config", "x", "field mlp.config must be a JSON object with keys layer_sizes"),
+        ("mlp", "weights", [_V3_DOC["mlp"]["weights"][0]], "need 2 weight"),
         ("mlp", "epochs_run", 2.5, "epochs_run"),
-        ("eigenspace", "basis", [[float("nan")] * 64] * 2, "non-finite"),
+        ("eigenspace", "basis",
+         {"shape": [2, 64], "f64le": base64.b64encode(np.full(128, np.nan).tobytes()).decode()},
+         "non-finite"),
         ("config", "extra", 1, "field config must be a JSON object with keys"),
         # 64 zeros, which a decoder that skips non-alphabet characters would accept
         ("eigenspace", "mean", {"shape": [64], "f64le": "*" + "A" * 683 + "="}, "not valid base64"),
         ("eigenspace", "mean", {"shape": [64], "f64le": "AAAAAAAAAAA="}, "8 bytes do not hold"),
         ("eigenspace", "basis", {"shape": [-2, 64], "f64le": ""}, "non-negative integers"),
         ("eigenspace", "mean", {"shape": [64], "f64le": "", "dtype": "<f8"}, "keys shape, f64le"),
-        ("mlp", "layer_sizes", [float("inf"), 3, 2], "infinity"),
-        ("mlp", "layer_sizes", [2.7, 3.9, 2.2], "layer_sizes[0] must be an integer"),
+        ("mlp.config", "layer_sizes", [float("inf"), 3, 2], "infinity"),
+        ("mlp.config", "layer_sizes", [2.7, 3.9, 2.2], "layer_sizes[0] must be an integer"),
         ("config", "levels", 0, "levels must be >= 1"),
         ("config", "split_fraction", 1.5, "split_fraction must lie in (0, 1)"),
         ("config", "learning_rate", -1.0, "learning rate must be positive"),
@@ -592,9 +641,8 @@ class TestPersistence:
         ("config", "seed", -1, "seed must be >= 0"),
     ])
     def test_malformed_section_names_file_and_field(self, tmp_path, section, key, value, match):
-        # array objects are format 2; the other edits are made to the v1 file, which still loads
-        doc = json.loads((MODEL_V2 if isinstance(value, dict) else MODEL_V1).read_text())
-        doc[section][key] = value
+        doc = json.loads(MODEL_V3.read_text())
+        _edit(doc, (*section.split("."), key), value)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"model file {path}: field {section}") as info:
@@ -636,9 +684,7 @@ class TestStreamedArrays:
         written = io.BytesIO()
         pipeline._write_base64(written, values)
         assert written.getvalue() == text
-        decoded = pipeline._decode_into(text.decode(), values.size)
-        assert decoded is not None and decoded.tobytes() == values.tobytes(order="C")
-        loaded = pipeline._array(2, "x", {"shape": list(shape), "f64le": text.decode()})
+        loaded = pipeline._array("x", {"shape": list(shape), "f64le": text.decode()})
         assert loaded.shape == shape and loaded.flags.writeable
         assert loaded.tobytes() == values.tobytes(order="C")
 
@@ -668,9 +714,8 @@ class TestStreamedArrays:
         count = 2 * _PIECE_VALUES
         text = base64.b64encode(np.ones(count).tobytes()).decode()
         text = text[:at] + char + text[at + 1:]
-        assert pipeline._decode_into(text, count) is None
         with pytest.raises(DataError, match="^x: f64le is not valid base64"):
-            pipeline._array(2, "x", {"shape": [count], "f64le": text})
+            pipeline._array("x", {"shape": [count], "f64le": text})
 
     def test_save_model_allocates_under_1_mb_above_the_model(self, tmp_path, traced_peak):
         # 12 MB while the document held each array's base64 as one string
@@ -692,7 +737,6 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _DROP = object()
-_V2_DOC = json.loads(MODEL_V2.read_text())
 _ARRAYS = [("eigenspace", name) for name in ("mean", "eigenvalues", "basis")] + [
     ("mlp", name, i) for name in ("weights", "biases") for i in (0, 1)
 ]
@@ -701,10 +745,10 @@ _ARRAY_EDITS = st.one_of(
     st.tuples(st.just("shape"), st.lists(st.integers(-2, 2**70), max_size=3)),
     st.tuples(st.just("f64le"), st.binary(max_size=40).map(lambda b: base64.b64encode(b).decode())),
 )
-_FIELDS = [(key,) for key in _V2_DOC] + [("extra",)] + [
-    (key, name) for key, section in _V2_DOC.items() if isinstance(section, dict)
+_FIELDS = [(key,) for key in _V3_DOC] + [("extra",)] + [
+    (key, name) for key, section in _V3_DOC.items() if isinstance(section, dict)
     for name in section
-]
+] + [("mlp", "config", name) for name in _V3_DOC["mlp"]["config"]]
 
 
 def _edit(doc, path, value):
@@ -736,7 +780,7 @@ class TestLoadModelFuzz:
     @_FUZZ
     @given(array=st.sampled_from(_ARRAYS), edits=st.lists(_ARRAY_EDITS, min_size=1, max_size=3))
     def test_mutated_array_object(self, tmp_path, array, edits):
-        doc = json.loads(MODEL_V2.read_text())
+        doc = json.loads(MODEL_V3.read_text())
         for key, value in edits:
             _edit(doc, (*array, key), value)
         _loads_or_is_data_error(doc, tmp_path / "m.json")
@@ -744,7 +788,7 @@ class TestLoadModelFuzz:
     @_FUZZ
     @given(path=st.sampled_from(_FIELDS), value=_JSON | st.just(_DROP))
     def test_mutated_field(self, tmp_path, path, value):
-        doc = json.loads(MODEL_V2.read_text())
+        doc = json.loads(MODEL_V3.read_text())
         _edit(doc, path, value)
         _loads_or_is_data_error(doc, tmp_path / "m.json")
 
