@@ -12,10 +12,13 @@ import argparse
 import ctypes
 import functools
 import sys
+import typing
 from dataclasses import fields
+from enum import EnumMeta
 
+from .eigen import AUTO
 from .errors import DataError, NumericError
-from .fusion import FusionPolicy, FusionRule, fuse_images
+from .fusion import FusionPolicy, fuse_images
 from .imgio import load_image, save_image
 from .pipeline import (
     MODALITIES,
@@ -29,7 +32,8 @@ from .pipeline import (
     save_report,
     train_pipeline,
 )
-from .wavelet import WaveletKind, decompose, export_tree
+from .mlp import typed
+from .wavelet import decompose, export_tree
 
 
 class UsageError(Exception):
@@ -43,22 +47,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _pca_k(text: str):
-    if text.lower() == "auto":
-        return "auto"
-    return int(text)
+# the two flags not named after their field, with the help each prints
+_RENAMED = {"split_fraction": ("--split", "train fraction per class"), "learning_rate": ("--lr", None)}
 
 
-def _add_wavelet_args(p):
-    p.add_argument("--wavelet", choices=[k.value for k in WaveletKind],
-                   default=PipelineConfig.wavelet.value)
-    p.add_argument("--levels", type=int, default=PipelineConfig.levels)
+def _add_config_args(p, names) -> None:
+    """Add a flag for each named PipelineConfig field, with the field's default and type."""
+    kinds = typing.get_type_hints(PipelineConfig)
+    for name in names:
+        kind = kinds[name]
+        flag, help = _RENAMED.get(name, ("--" + name.replace("_", "-"), None))
+        p.add_argument(
+            flag, dest=name, default=getattr(PipelineConfig, name), help=help,
+            # numbers parse as argparse's int and float do, since typed parses no text
+            type=kind if kind in (int, float) else functools.partial(_typed_text, name, kind),
+            choices=[m.value for m in kind] if isinstance(kind, EnumMeta) else None,
+            metavar=f"{AUTO.upper()}|int" if kind == int | str else None)
 
 
-def _add_rule_args(p):
-    rules = [r.value for r in FusionRule]
-    p.add_argument("--approx-rule", choices=rules, default=PipelineConfig.approx_rule.value)
-    p.add_argument("--detail-rule", choices=rules, default=PipelineConfig.detail_rule.value)
+def _typed_text(name: str, kind, text: str):
+    """A flag's text as ``typed`` makes it a ``kind``; a bad value is a usage error."""
+    try:
+        return typed(name, kind, int(text) if text.removeprefix("-").isdecimal() else text)
+    except ValueError as exc:
+        if isinstance(kind, EnumMeta):
+            return text  # no member: argparse's choice check lists the choices
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -77,15 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="export one image's wavelet coefficient tree")
     p.add_argument("--input", required=True)
-    _add_wavelet_args(p)
+    _add_config_args(p, ["wavelet", "levels"])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("fuse", help="fuse a thermal/visual pair into one image")
     p.add_argument("--thermal", required=True)
     p.add_argument("--visual", required=True)
-    _add_wavelet_args(p)
-    _add_rule_args(p)
+    _add_config_args(p, ["wavelet", "levels", "approx_rule", "detail_rule"])
     p.add_argument("--out", required=True, help="output PGM path")
     p.set_defaults(func=_cmd_fuse)
 
@@ -100,16 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a recognition model on a dataset directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--split", dest="split_fraction", type=float,
-                   default=PipelineConfig.split_fraction, help="train fraction per class")
-    _add_wavelet_args(p)
-    _add_rule_args(p)
-    p.add_argument("--pca-k", type=_pca_k, default=PipelineConfig.pca_k, metavar="AUTO|int")
-    p.add_argument("--hidden", type=int, default=PipelineConfig.hidden)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=PipelineConfig.learning_rate)
-    p.add_argument("--momentum", type=float, default=PipelineConfig.momentum)
-    p.add_argument("--epochs", type=int, default=PipelineConfig.epochs)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    _add_config_args(p, ["split_fraction", "wavelet", "levels", "approx_rule", "detail_rule",
+                         "pca_k", "hidden", "learning_rate", "momentum", "epochs", "seed"])
     p.add_argument("--model", required=True, help="output model JSON path")
     p.set_defaults(func=_cmd_train)
 
@@ -128,7 +133,7 @@ def _warn_unpaired(data):
 
 
 def _cmd_decompose(args) -> int:
-    tree = decompose(load_image(args.input), WaveletKind(args.wavelet), args.levels)
+    tree = decompose(load_image(args.input), args.wavelet, args.levels)
     export_tree(tree, args.out)
     print(
         f"wrote {args.out}: wavelet {tree.wavelet.value}, {tree.levels} levels, "
@@ -145,8 +150,8 @@ def _cmd_fuse(args) -> int:
             f"thermal {args.thermal} dims {thermal.shape} differ from "
             f"visual {args.visual} dims {visual.shape}"
         )
-    policy = FusionPolicy(FusionRule(args.approx_rule), FusionRule(args.detail_rule))
-    fused = fuse_images(thermal, visual, WaveletKind(args.wavelet), args.levels, policy)
+    policy = FusionPolicy(args.approx_rule, args.detail_rule)
+    fused = fuse_images(thermal, visual, args.wavelet, args.levels, policy)
     save_image(fused, args.out)
     print(f"wrote {args.out}")
     return 0

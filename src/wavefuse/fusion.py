@@ -9,12 +9,14 @@ smaller-magnitude detail coefficient; where magnitudes tie, the first
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DataError
+from .mlp import typed
 from .wavelet import DecompositionTree, WaveletKind, decompose, reconstruct
 
 
@@ -32,8 +34,8 @@ class FusionPolicy:
     detail_rule: FusionRule = FusionRule.MIN_ABS
 
     def __post_init__(self):
-        object.__setattr__(self, "approx_rule", FusionRule(self.approx_rule))
-        object.__setattr__(self, "detail_rule", FusionRule(self.detail_rule))
+        for name, kind in typing.get_type_hints(FusionPolicy).items():
+            object.__setattr__(self, name, typed(name, kind, getattr(self, name)))
 
 
 def fuse_coeffs(a: np.ndarray, b: np.ndarray, rule: FusionRule) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import json
 import math
 import typing
@@ -109,7 +110,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name, kind in typing.get_type_hints(PipelineConfig).items():
-            object.__setattr__(self, name, _typed(name, kind, getattr(self, name)))
+            object.__setattr__(self, name, typed(name, kind, getattr(self, name)))
         if self.levels < 1:
             raise DataError(f"levels must be >= 1, got {self.levels}")
         if self.pca_k != AUTO and self.pca_k < 1:
@@ -120,7 +121,7 @@ class PipelineConfig:
             raise DataError(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         self.mlp_config((1, self.hidden, 1))  # MlpConfig's checks of the training fields
 
-    @property
+    @functools.cached_property  # built once, as typing its rules takes about 30 us
     def policy(self) -> FusionPolicy:
         return FusionPolicy(self.approx_rule, self.detail_rule)
 
@@ -128,17 +129,6 @@ class PipelineConfig:
         """The network config for ``layer_sizes``; MlpConfig's other fields are read from here."""
         shared = {f.name: getattr(self, f.name) for f in fields(MlpConfig)[1:]}  # after layer_sizes
         return MlpConfig(layer_sizes=tuple(layer_sizes), **shared)
-
-
-def _typed(name: str, kind, value):
-    """mlp's ``typed``, plus ``pca_k``: an integer or ``"auto"`` in any case."""
-    if kind != int | str:
-        return typed(name, kind, value)
-    if isinstance(value, str) and value.lower() == AUTO:
-        return AUTO
-    if isinstance(value, str):
-        raise DataError(f"{name} must be an integer or '{AUTO}', got {value!r}")
-    return typed(name, int, value)
 
 
 @dataclass
@@ -374,7 +364,7 @@ def generate_synthetic_dataset(
     t_mask[half_r:, half_c:] = 1.0
     v_mask = 1.0 - t_mask
 
-    m = max(2, math.ceil(classes / 2))
+    m = max(2, -(-classes // 2))
     f_count = (classes - 1) // 2 + 1
     g_count = min(classes, m)
 
@@ -508,14 +498,7 @@ def _from_json(kind, value, name: str):
             raise DataError(f"{where} must be a list, got {type(value).__name__}")
         return [_from_json(typing.get_args(kind)[0], item, f"{name}[{i}]")
                 for i, item in enumerate(value)]
-    if kind is str:
-        if not isinstance(value, str):
-            raise DataError(f"{where} must be a string, got {value!r}")
-        return value
-    try:
-        return _typed(where, kind, value)
-    except OverflowError as exc:  # an integer beyond float range
-        raise DataError(f"{where}: {exc}") from None
+    return typed(where, kind, value)
 
 
 def save_model(model: PipelineModel, path) -> None:

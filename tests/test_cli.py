@@ -16,10 +16,11 @@ import pytest
 from wavefuse import cli, pipeline
 from wavefuse.cli import main
 from wavefuse.errors import NumericError
-from wavefuse.fusion import fuse_images
+from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
 from wavefuse.imgio import load_image, save_image
 from wavefuse.mlp import parameter_count
 from wavefuse.pipeline import PipelineConfig, generate_synthetic_dataset, ingest_dataset
+from wavefuse.wavelet import WaveletKind
 
 
 @pytest.fixture()
@@ -468,6 +469,166 @@ class TestExitCodeMapping:
         count = parameter_count((5, 10**18, 3))
         assert capsys.readouterr().err == (
             f"error: Unable to allocate a network of {count} float64 parameters\n")
+
+    @pytest.mark.parametrize("flag", ["--levels", "--hidden", "--pca-k"])
+    def test_integer_beyond_float_range_is_data_error(self, flag, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--per-class", "4",
+                     "--rows", "16", "--cols", "16", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--levels", "3", flag, "1" + "0" * 400,
+                     "--model", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_class_count_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--classes", "1" + "0" * 400, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+_TRAIN_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --data DATA
+  --split SPLIT_FRACTION
+                        train fraction per class
+  --wavelet {haar,db2}
+  --levels LEVELS
+  --approx-rule {maxabs,minabs,average}
+  --detail-rule {maxabs,minabs,average}
+  --pca-k AUTO|int
+  --hidden HIDDEN
+  --lr LEARNING_RATE
+  --momentum MOMENTUM
+  --epochs EPOCHS
+  --seed SEED
+  --model MODEL         output model JSON path
+"""
+
+_FUSE_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --thermal THERMAL
+  --visual VISUAL
+  --wavelet {haar,db2}
+  --levels LEVELS
+  --approx-rule {maxabs,minabs,average}
+  --detail-rule {maxabs,minabs,average}
+  --out OUT             output PGM path
+"""
+
+_DECOMPOSE_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --input INPUT
+  --wavelet {haar,db2}
+  --levels LEVELS
+  --out OUT             output directory
+"""
+
+
+class TestConfigFlags:
+    """The decompose, fuse and train flags are PipelineConfig fields."""
+
+    @pytest.mark.parametrize("flags, kind, levels, policy", [
+        ([], PipelineConfig().wavelet, PipelineConfig().levels, PipelineConfig().policy),
+        (["--wavelet", "haar", "--levels", "2", "--approx-rule", "average",
+          "--detail-rule", "maxabs"],
+         WaveletKind.HAAR, 2, FusionPolicy(FusionRule.AVERAGE, FusionRule.MAX_ABS)),
+    ], ids=["defaults", "set"])
+    def test_fuse_flags_reach_fuse_images_as_members(self, pair, monkeypatch, tmp_path,
+                                                      flags, kind, levels, policy):
+        seen = []
+
+        def capture(thermal, visual, *args):
+            seen.append(args)
+            raise NumericError("stop")
+
+        monkeypatch.setattr(cli, "fuse_images", capture)
+        t_path, v_path = pair
+        assert main(["fuse", "--thermal", str(t_path), "--visual", str(v_path),
+                     "--out", str(tmp_path / "f.pgm"), *flags]) == 3
+        [(got_kind, got_levels, got_policy)] = seen
+        assert (got_kind, got_levels, got_policy) == (kind, levels, policy)
+        assert type(got_kind) is WaveletKind and type(got_levels) is int
+        assert type(got_policy.approx_rule) is FusionRule
+        assert type(got_policy.detail_rule) is FusionRule
+
+    @pytest.mark.parametrize("flags, kind, levels", [
+        ([], PipelineConfig().wavelet, PipelineConfig().levels),
+        (["--wavelet", "haar", "--levels", "2"], WaveletKind.HAAR, 2),
+    ], ids=["defaults", "set"])
+    def test_decompose_flags_reach_decompose_as_members(self, pair, monkeypatch, tmp_path,
+                                                         flags, kind, levels):
+        seen = []
+
+        def capture(image, *args):
+            seen.append(args)
+            raise NumericError("stop")
+
+        monkeypatch.setattr(cli, "decompose", capture)
+        t_path, _ = pair
+        assert main(["decompose", "--input", str(t_path), "--out", str(tmp_path / "tree"),
+                     *flags]) == 3
+        assert seen == [(kind, levels)]
+        assert type(seen[0][0]) is WaveletKind and type(seen[0][1]) is int
+
+    @pytest.mark.parametrize("flag, value, code, err", [
+        ("--wavelet", "sym4", 1, "invalid choice: 'sym4' (choose from 'haar', 'db2')"),
+        ("--approx-rule", "max", 1,
+         "invalid choice: 'max' (choose from 'maxabs', 'minabs', 'average')"),
+        ("--levels", "two", 1, "invalid int value: 'two'"),
+        ("--pca-k", "abc", 1, ""),
+        ("--epochs", "abc", 1, "invalid int value: 'abc'"),
+        ("--hidden", "1.5", 1, "invalid int value: '1.5'"),
+        ("--levels", "0", 2, "error: levels must be >= 1, got 0"),
+        ("--pca-k", "0", 2, "error: pca_k must be >= 1, got 0"),
+        ("--epochs", "0", 2, "error: epochs must be >= 1, got 0"),
+        ("--momentum", "1.0", 2, "error: momentum must lie in [0, 1), got 1.0"),
+        ("--split", "1.0", 2, "error: split_fraction must lie in (0, 1), got 1.0"),
+        ("--seed", "-1", 2, "error: seed must be >= 0, got -1"),
+    ])
+    def test_flag_value_exit_codes(self, dataset, tmp_path, capsys, flag, value, code, err):
+        assert main(["train", "--data", str(dataset), "--model", str(tmp_path / "m.json"),
+                     flag, value]) == code
+        got = capsys.readouterr().err
+        if code == 1:  # argparse's message, after the flag it names
+            assert got.startswith(f"wavefuse train: error: argument {flag}: {err}")
+        else:
+            assert got == err + "\n"
+
+    def test_pca_k_word_is_typed_by_the_config_rule(self, dataset, monkeypatch, tmp_path,
+                                                    capsys):
+        seen = []
+
+        def capture(data, cfg):
+            seen.append(cfg.pca_k)
+            raise NumericError("stop")
+
+        monkeypatch.setattr(cli, "train_pipeline", capture)
+        argv = ["train", "--data", str(dataset), "--model", str(tmp_path / "m.json"), "--pca-k"]
+        assert main(argv + ["AUTO"]) == 3
+        assert main(argv + ["12"]) == 3
+        assert seen == ["auto", 12]
+        capsys.readouterr()
+        assert main(argv + ["abc"]) == 1
+        assert capsys.readouterr().err == (
+            "wavefuse train: error: argument --pca-k: pca_k must be an integer or 'auto', "
+            "got 'abc'\n")
+
+    @pytest.mark.parametrize("command, options", [
+        ("train", _TRAIN_OPTIONS), ("fuse", _FUSE_OPTIONS), ("decompose", _DECOMPOSE_OPTIONS),
+    ])
+    def test_help_option_lines_are_pinned(self, monkeypatch, capsys, command, options):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out[out.index("options:"):] == options
 
 
 class TestEntryPoints:

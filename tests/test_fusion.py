@@ -37,6 +37,19 @@ def tree_coefficient_grids(tree):
             yield f"L{level}_{name}", grid
 
 
+class TestFusionPolicy:
+    def test_rules_typed_from_their_values(self):
+        policy = FusionPolicy("average", "maxabs")
+        assert policy == FusionPolicy(FusionRule.AVERAGE, FusionRule.MAX_ABS)
+        assert type(policy.approx_rule) is FusionRule and type(policy.detail_rule) is FusionRule
+
+    @pytest.mark.parametrize("field", ["approx_rule", "detail_rule"])
+    def test_bad_rule_is_data_error_naming_the_field(self, field):
+        with pytest.raises(DataError, match=re.escape(
+                f"{field} must be one of ['maxabs', 'minabs', 'average'], got 'bogus'")):
+            FusionPolicy(**{field: "bogus"})
+
+
 class TestFuseCoeffs:
     def test_max_abs_example(self):
         out = fuse_coeffs(np.array([[3.0, -5.0]]), np.array([[-4.0, 2.0]]), FusionRule.MAX_ABS)

@@ -845,3 +845,17 @@ class TestConfig:
     def test_pca_k_message_names_auto(self):
         with pytest.raises(DataError, match="pca_k must be an integer or 'auto', got 'all'"):
             PipelineConfig(pca_k="all")
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(DataError, match="learning_rate must be finite"):
+            PipelineConfig(learning_rate=10**400)
+        assert PipelineConfig(seed=10**400).seed == 10**400
+
+    def test_model_file_integer_beyond_float_range_names_the_field(self, tmp_path):
+        doc = json.loads(MODEL_V3.read_text())
+        doc["config"]["learning_rate"] = 10**400
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(
+                f"model file {path}: field config.learning_rate must be finite")):
+            load_model(path)
