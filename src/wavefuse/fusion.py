@@ -5,6 +5,11 @@ selection rule, then the merged tree is synthesized back into an image. The
 default policy keeps the larger-magnitude approximation coefficient and the
 smaller-magnitude detail coefficient; where magnitudes tie, the first
 (thermal) input wins.
+
+Selection is branch-free: a finite float64 with its sign bit cleared is an int64
+ordered like its magnitude, so ``(|b| - |a|) >> 63`` (``|a| - |b|`` for maxabs)
+is all ones where b wins, and ``a ^ ((a ^ b) & mask)`` is one input bit for bit.
+NaN sorts above infinity, so these rules raise DataError on non-finite input.
 """
 
 from __future__ import annotations
@@ -38,8 +43,12 @@ class FusionPolicy:
             object.__setattr__(self, name, typed(name, kind, getattr(self, name)))
 
 
+# every bit of a float64 but its sign; and infinity's bits, which every NaN's exceed
+_MAGNITUDE, _INFINITY = np.int64(0x7FFF_FFFF_FFFF_FFFF), 0x7FF0_0000_0000_0000
+
+
 def fuse_coeffs(a: np.ndarray, b: np.ndarray, rule: FusionRule) -> np.ndarray:
-    """Fuse two equal-shape coefficient grids element by element."""
+    """Fuse two equal-shape coefficient grids element by element into a new array."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -47,9 +56,15 @@ def fuse_coeffs(a: np.ndarray, b: np.ndarray, rule: FusionRule) -> np.ndarray:
     rule = FusionRule(rule)
     if rule is FusionRule.AVERAGE:
         return (a + b) / 2.0
-    if rule is FusionRule.MAX_ABS:
-        return np.where(np.abs(a) >= np.abs(b), a, b)
-    return np.where(np.abs(a) <= np.abs(b), a, b)
+    x, y = a.reshape(-1).view(np.int64), b.reshape(-1).view(np.int64)
+    m, k = x & _MAGNITUDE, y & _MAGNITUDE
+    if max(m.max(initial=0), k.max(initial=0)) >= _INFINITY:
+        raise DataError("non-finite coefficients")
+    np.subtract(m, k, out=k) if rule is FusionRule.MAX_ABS else np.subtract(k, m, out=k)
+    k >>= 63
+    np.bitwise_xor(x, y, out=m)
+    m &= k
+    return np.bitwise_xor(x, m, out=m).view(np.float64).reshape(a.shape)
 
 
 def fuse_trees(

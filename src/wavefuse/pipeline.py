@@ -299,7 +299,7 @@ def evaluate(
     for label in present:
         if label not in index:
             raise DataError(f"class {label} is not known to the model")
-    # a missing class would also re-draw the split of every class after it
+    # a report that tested no sample of a model class would pass for one of the whole model
     for label in model.class_labels:
         if label not in present:
             raise DataError(f"model class {label} is missing from the dataset")
@@ -541,8 +541,8 @@ def load_model(path) -> PipelineModel:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    # RecursionError: nesting deeper than the parser's stack
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: bad bytes, bad syntax or int's digit limit; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         if not isinstance(doc, dict):

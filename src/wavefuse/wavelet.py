@@ -129,8 +129,8 @@ def _sweep(coeffs: np.ndarray, kind: WaveletKind, levels: int, synthesis: bool) 
         # times slower on small blocks. Transposing into a fresh C-order array
         # frees the first product before the second runs, where scipy's own
         # copy of a transposed operand would keep three block-sized arrays alive.
-        partial = _transpose_into(a_r @ block, np.empty(block.shape[::-1]))
-        _transpose_into(a_c @ partial, block)
+        # No name keeps the transposed product alive into the next level's products.
+        _transpose_into(a_c @ _transpose_into(a_r @ block, np.empty(block.shape[::-1])), block)
 
 
 class DetailTriple(NamedTuple):

@@ -146,6 +146,8 @@ FUSE_CASES = {
     "db2-509x509-default": (509, 509, []),
     "haar-240x320-maxabs": (240, 320, ["--wavelet", "haar", "--approx-rule", "maxabs",
                                        "--detail-rule", "maxabs"]),
+    "db2-509x509-average": (509, 509, ["--approx-rule", "average", "--detail-rule", "average"]),
+    "db2-509x509-swapped": (509, 509, ["--approx-rule", "minabs", "--detail-rule", "maxabs"]),
 }
 
 
@@ -315,6 +317,21 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--data", str(dataset),
                      "--model", str(tmp_path / "missing.json"),
                      "--report", str(tmp_path / "r.json")]) == 2
+
+    def test_integer_past_the_digit_limit_names_the_file(self, dataset, model_path, tmp_path,
+                                                         capsys):
+        # int() refuses strings of more than 4,300 digits, so json.loads raises
+        # a ValueError that is not a JSONDecodeError
+        text = model_path.read_text()
+        assert '"seed": 0' in text
+        model = tmp_path / "long-seed.json"
+        model.write_text(text.replace('"seed": 0', '"seed": ' + "1" * 5001, 1))
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(dataset), "--model", str(model),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model file {model} is not valid JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_object_model_file_is_data_error(self, dataset, tmp_path, capsys):
         model = tmp_path / "list.json"
