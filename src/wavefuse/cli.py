@@ -12,7 +12,6 @@ import argparse
 import ctypes
 import functools
 import sys
-import typing
 from dataclasses import fields
 from enum import EnumMeta
 
@@ -23,6 +22,7 @@ from .imgio import load_image, save_image
 from .pipeline import (
     MODALITIES,
     PipelineConfig,
+    SynthConfig,
     evaluate,
     format_report,
     generate_synthetic_dataset,
@@ -32,7 +32,7 @@ from .pipeline import (
     save_report,
     train_pipeline,
 )
-from .mlp import typed
+from .mlp import field_types, typed
 from .wavelet import decompose, export_tree
 
 
@@ -51,18 +51,23 @@ class _Parser(argparse.ArgumentParser):
 _RENAMED = {"split_fraction": ("--split", "train fraction per class"), "learning_rate": ("--lr", None)}
 
 
-def _add_config_args(p, names) -> None:
-    """Add a flag for each named PipelineConfig field, with the field's default and type."""
-    kinds = typing.get_type_hints(PipelineConfig)
+def _add_config_args(p, cls, names) -> None:
+    """Add a flag for each named field of config class ``cls``, with its default and type."""
     for name in names:
-        kind = kinds[name]
+        kind = field_types(cls)[name]
         flag, help = _RENAMED.get(name, ("--" + name.replace("_", "-"), None))
         p.add_argument(
-            flag, dest=name, default=getattr(PipelineConfig, name), help=help,
+            flag, dest=name, default=getattr(cls, name), help=help,
             # numbers parse as argparse's int and float do, since typed parses no text
             type=kind if kind in (int, float) else functools.partial(_typed_text, name, kind),
             choices=[m.value for m in kind] if isinstance(kind, EnumMeta) else None,
             metavar=f"{AUTO.upper()}|int" if kind == int | str else None)
+
+
+def _config(cls, args):
+    """A ``cls`` config from the parsed flags named after its fields."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _typed_text(name: str, kind, text: str):
@@ -91,30 +96,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="export one image's wavelet coefficient tree")
     p.add_argument("--input", required=True)
-    _add_config_args(p, ["wavelet", "levels"])
+    _add_config_args(p, PipelineConfig, ["wavelet", "levels"])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("fuse", help="fuse a thermal/visual pair into one image")
     p.add_argument("--thermal", required=True)
     p.add_argument("--visual", required=True)
-    _add_config_args(p, ["wavelet", "levels", "approx_rule", "detail_rule"])
+    _add_config_args(p, PipelineConfig, ["wavelet", "levels", "approx_rule", "detail_rule"])
     p.add_argument("--out", required=True, help="output PGM path")
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("synth", help="generate a synthetic paired dataset")
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--per-class", type=int, default=20)
-    p.add_argument("--rows", type=int, default=64)
-    p.add_argument("--cols", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_args(p, SynthConfig, [f.name for f in fields(SynthConfig)])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a recognition model on a dataset directory")
     p.add_argument("--data", required=True)
-    _add_config_args(p, ["split_fraction", "wavelet", "levels", "approx_rule", "detail_rule",
-                         "pca_k", "hidden", "learning_rate", "momentum", "epochs", "seed"])
+    _add_config_args(p, PipelineConfig, ["split_fraction", "wavelet", "levels", "approx_rule",
+                                         "detail_rule", "pca_k", "hidden", "learning_rate",
+                                         "momentum", "epochs", "seed"])
     p.add_argument("--model", required=True, help="output model JSON path")
     p.set_defaults(func=_cmd_train)
 
@@ -137,7 +139,7 @@ def _cmd_decompose(args) -> int:
     export_tree(tree, args.out)
     print(
         f"wrote {args.out}: wavelet {tree.wavelet.value}, {tree.levels} levels, "
-        f"{tree.coefficient_count()} coefficients"
+        f"{tree.coeffs.size} coefficients"
     )
     return 0
 
@@ -158,16 +160,14 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out = generate_synthetic_dataset(
-        args.classes, args.per_class, (args.rows, args.cols), args.seed, args.out
-    )
-    print(f"wrote {args.classes * args.per_class * 2} images under {out}")
+    cfg = _config(SynthConfig, args)
+    out = generate_synthetic_dataset(cfg, args.out)
+    print(f"wrote {cfg.classes * cfg.per_class * 2} images under {out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    names = {f.name for f in fields(PipelineConfig)}
-    cfg = PipelineConfig(**{k: v for k, v in vars(args).items() if k in names})
+    cfg = _config(PipelineConfig, args)
     data = ingest_dataset(args.data)
     _warn_unpaired(data)
     # every class needs a test sample, or no evaluate of this model can score it

@@ -61,17 +61,13 @@ def _flatten_stack(images) -> tuple[np.ndarray, tuple[int, int]]:
     """The N x D data matrix: a view of an owned (N, R, C) array, else a fresh stack."""
     if len(images) == 0:
         raise DataError("no training images")
-    if (isinstance(images, np.ndarray) and images.ndim == 3 and images.dtype == np.float64
-            and images.flags.c_contiguous and images.flags.writeable):
-        return images.reshape(len(images), -1), images.shape[1:]
-    dims = np.asarray(images[0]).shape
-    rows = []
+    dims = np.shape(images[0])
     for i, img in enumerate(images):
-        img = np.asarray(img, dtype=np.float64)
-        if img.shape != dims:
-            raise DataError(f"image {i} dims {img.shape} differ from {dims}")
-        rows.append(img.reshape(-1))
-    return np.stack(rows), dims
+        if np.shape(img) != dims:
+            raise DataError(f"image {i} dims {np.shape(img)} differ from {dims}")
+    # the caller's array itself when it is float64, C-contiguous and writeable
+    stack = np.require(images, np.float64, "CW")
+    return stack.reshape(len(stack), -1), dims
 
 
 def fit_eigenspace(images, k=AUTO) -> EigenspaceModel:

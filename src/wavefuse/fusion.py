@@ -14,14 +14,13 @@ NaN sorts above infinity, so these rules raise DataError on non-finite input.
 
 from __future__ import annotations
 
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import DataError
-from .mlp import typed
+from .mlp import typed_fields
 from .wavelet import DecompositionTree, WaveletKind, decompose, reconstruct
 
 
@@ -38,9 +37,7 @@ class FusionPolicy:
     approx_rule: FusionRule = FusionRule.MAX_ABS
     detail_rule: FusionRule = FusionRule.MIN_ABS
 
-    def __post_init__(self):
-        for name, kind in typing.get_type_hints(FusionPolicy).items():
-            object.__setattr__(self, name, typed(name, kind, getattr(self, name)))
+    __post_init__ = typed_fields
 
 
 # every bit of a float64 but its sign; and infinity's bits, which every NaN's exceed
@@ -84,12 +81,7 @@ def fuse_trees(
         raise DataError(
             f"original dims differ: {t.original_dims} vs {v.original_dims}"
         )
-    fused = DecompositionTree(
-        wavelet=t.wavelet,
-        coeffs=fuse_coeffs(t.coeffs, v.coeffs, policy.detail_rule),
-        levels=t.levels,
-        original_dims=t.original_dims,
-    )
+    fused = replace(t, coeffs=fuse_coeffs(t.coeffs, v.coeffs, policy.detail_rule))
     fused.deepest_approx[...] = fuse_coeffs(
         t.deepest_approx, v.deepest_approx, policy.approx_rule
     )

@@ -24,6 +24,7 @@ bitwise the same.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import typing
@@ -46,8 +47,7 @@ class MlpConfig:
     target_error: float = 1e-3
 
     def __post_init__(self):
-        for name, kind in typing.get_type_hints(MlpConfig).items():
-            object.__setattr__(self, name, typed(name, kind, getattr(self, name)))
+        typed_fields(self)
         sizes = self.layer_sizes
         if len(sizes) < 2:
             raise DataError(f"need at least 2 layers, got {sizes}")
@@ -63,6 +63,18 @@ class MlpConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.target_error < 0:
             raise DataError(f"target error must be >= 0, got {self.target_error}")
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """Each field of dataclass ``cls`` and its type, evaluated once per class."""
+    return typing.get_type_hints(cls)
+
+
+def typed_fields(config) -> None:
+    """Replace each field of a frozen dataclass with ``typed``'s value for it."""
+    for name, kind in field_types(type(config)).items():
+        object.__setattr__(config, name, typed(name, kind, getattr(config, name)))
 
 
 def typed(name: str, kind, value):

@@ -36,7 +36,9 @@ from .eigen import AUTO, EigenspaceModel, fit_eigenspace, project
 from .errors import DataError
 from .fusion import FusionPolicy, FusionRule, fuse_images
 from .imgio import load_image, save_image
-from .mlp import MlpConfig, MlpModel, parameter_count, predict, train, typed
+from .mlp import (
+    MlpConfig, MlpModel, field_types, parameter_count, predict, train, typed, typed_fields,
+)
 from .wavelet import WaveletKind
 
 MODALITIES = ("fused", "thermal", "visual")
@@ -109,8 +111,7 @@ class PipelineConfig:
     split_fraction: float = 0.5
 
     def __post_init__(self):
-        for name, kind in typing.get_type_hints(PipelineConfig).items():
-            object.__setattr__(self, name, typed(name, kind, getattr(self, name)))
+        typed_fields(self)
         if self.levels < 1:
             raise DataError(f"levels must be >= 1, got {self.levels}")
         if self.pca_k != AUTO and self.pca_k < 1:
@@ -121,7 +122,7 @@ class PipelineConfig:
             raise DataError(f"split_fraction must lie in (0, 1), got {self.split_fraction}")
         self.mlp_config((1, self.hidden, 1))  # MlpConfig's checks of the training fields
 
-    @functools.cached_property  # built once, as typing its rules takes about 30 us
+    @functools.cached_property  # built once per config, not once per fused pair
     def policy(self) -> FusionPolicy:
         return FusionPolicy(self.approx_rule, self.detail_rule)
 
@@ -335,9 +336,27 @@ def _tally(counts: np.ndarray, correct) -> tuple[int, int, float]:
     return tested, correct, correct / tested if tested else 0.0
 
 
-def generate_synthetic_dataset(
-    classes: int, per_class: int, dims: tuple[int, int], seed: int, out_dir
-) -> Path:
+@dataclass(frozen=True)
+class SynthConfig:
+    """Every setting of ``generate_synthetic_dataset``; the ``synth`` flags are its fields."""
+
+    classes: int = 10
+    per_class: int = 20
+    rows: int = 64
+    cols: int = 64
+    seed: int = 0
+
+    def __post_init__(self):
+        typed_fields(self)
+        if self.classes < 1:
+            raise DataError(f"class count must be >= 1, got {self.classes}")
+        if self.per_class < 1:
+            raise DataError(f"per-class count must be >= 1, got {self.per_class}")
+        if self.rows < 2 or self.cols < 2:
+            raise DataError(f"dims must be at least 2x2, got {(self.rows, self.cols)}")
+
+
+def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> Path:
     """Write a deterministic paired dataset whose modalities complement each other.
 
     Each image splits into quadrants: the thermal channel lights the
@@ -350,13 +369,7 @@ def generate_synthetic_dataset(
     fused recognition beats either baseline by construction. Per-sample
     Gaussian noise makes samples within a class distinct.
     """
-    if classes < 1:
-        raise DataError(f"class count must be >= 1, got {classes}")
-    if per_class < 1:
-        raise DataError(f"per-class count must be >= 1, got {per_class}")
-    rows, cols = dims
-    if rows < 2 or cols < 2:
-        raise DataError(f"dims must be at least 2x2, got {dims}")
+    classes, per_class, rows, cols, seed = cfg.classes, cfg.per_class, cfg.rows, cfg.cols, cfg.seed
 
     half_r, half_c = rows // 2, cols // 2
     t_mask = np.zeros((rows, cols))
@@ -484,7 +497,7 @@ def _from_json(kind, value, name: str):
         keys = [f.name for f in fields(kind)]
         if not isinstance(value, dict) or set(value) != set(keys):
             raise DataError(f"{where} must be a JSON object with keys {', '.join(keys)}")
-        hints = typing.get_type_hints(kind)
+        hints = field_types(kind)
         decoded = {key: _from_json(hints[key], value[key], f"{name}.{key}" if name else key)
                    for key in keys}
         try:

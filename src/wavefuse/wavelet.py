@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -133,28 +132,13 @@ def _sweep(coeffs: np.ndarray, kind: WaveletKind, levels: int, synthesis: bool) 
         _transpose_into(a_c @ _transpose_into(a_r @ block, np.empty(block.shape[::-1])), block)
 
 
-class DetailTriple(NamedTuple):
-    """One level's detail bands, as views into the tree's coefficient array."""
-
-    cH: np.ndarray
-    cV: np.ndarray
-    cD: np.ndarray
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.cH.shape
-
-    def grids(self):
-        return (self.cH, self.cV, self.cD)
-
-
 @dataclass
 class DecompositionTree:
     """Multi-level decomposition: one padded coefficient array in Mallat layout.
 
-    ``details[0]`` is the finest level (level 1), ``details[-1]`` the
-    coarsest (level L); they and ``deepest_approx`` are views into
-    ``coeffs``. ``original_dims`` are the image dims before padding, used by
+    ``details[0]`` is the finest level's (level 1) ``(cH, cV, cD)``,
+    ``details[-1]`` the coarsest's (level L); they and ``deepest_approx`` are
+    views into ``coeffs``. ``original_dims`` are the image dims before padding, used by
     :func:`reconstruct` to crop the synthesized image.
     """
 
@@ -188,16 +172,13 @@ class DecompositionTree:
         return self.coeffs[: rows >> self.levels, : cols >> self.levels]
 
     @property
-    def details(self) -> list[DetailTriple]:
+    def details(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         a, out = self.coeffs, []
         for level in range(1, self.levels + 1):
             r, c = a.shape[0] >> level, a.shape[1] >> level
             # cH bottom left, cV top right, cD bottom right of the level's block
-            out.append(DetailTriple(a[r : 2 * r, :c], a[:r, c : 2 * c], a[r : 2 * r, c : 2 * c]))
+            out.append((a[r : 2 * r, :c], a[:r, c : 2 * c], a[r : 2 * r, c : 2 * c]))
         return out
-
-    def coefficient_count(self) -> int:
-        return self.coeffs.size
 
 
 def decompose(
@@ -260,7 +241,7 @@ def export_tree(tree: DecompositionTree, out_dir) -> Path:
 
     _write(f"L{tree.levels}_cA", tree.deepest_approx)
     for level, det in enumerate(tree.details, start=1):
-        for sub, grid in zip(("cH", "cV", "cD"), det.grids()):
+        for sub, grid in zip(("cH", "cV", "cD"), det):
             _write(f"L{level}_{sub}", grid)
     (out / "tree.json").write_text(json.dumps(meta, indent=2) + "\n")
     return out

@@ -39,7 +39,7 @@ def criterion(capsys, number, description):
 def tree_grids(tree):
     yield tree.deepest_approx
     for triple in tree.details:
-        yield from triple.grids()
+        yield from triple
 
 
 # Recognition runs are shared between the end-to-end criteria; memoized
@@ -150,7 +150,7 @@ def test_criterion_04_fusion_oracle(capsys):
                 ta.deepest_approx, tb.deepest_approx, policy.approx_rule
             ).tobytes()
             for da, db, df in zip(ta.details, tb.details, fused.details):
-                for ga, gb, gf in zip(da.grids(), db.grids(), df.grids()):
+                for ga, gb, gf in zip(da, db, df):
                     assert gf.tobytes() == flat_fuse(ga, gb, policy.detail_rule).tobytes()
         img = np.random.default_rng(44).random((37, 41))
         for approx in rules:

@@ -19,7 +19,9 @@ from wavefuse.errors import NumericError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
 from wavefuse.imgio import load_image, save_image
 from wavefuse.mlp import parameter_count
-from wavefuse.pipeline import PipelineConfig, generate_synthetic_dataset, ingest_dataset
+from wavefuse.pipeline import (
+    PipelineConfig, SynthConfig, generate_synthetic_dataset, ingest_dataset,
+)
 from wavefuse.wavelet import WaveletKind
 
 
@@ -141,6 +143,7 @@ def _fuse_argv(thermal, visual, out):
 
 
 FUSE_DIGESTS = Path(__file__).parent / "data" / "fuse_digests.json"
+SYNTH_DIGESTS = Path(__file__).parent / "data" / "synth_digests.json"
 # case name -> (rows, cols, extra fuse flags); 509 and 240 need padding to 2^5
 FUSE_CASES = {
     "db2-509x509-default": (509, 509, []),
@@ -157,7 +160,8 @@ class TestFuseBytes:
     @pytest.mark.parametrize("case", sorted(FUSE_CASES))
     def test_fused_pgm_matches_pinned_digest(self, case, tmp_path, capsys):
         rows, cols, flags = FUSE_CASES[case]
-        data = generate_synthetic_dataset(1, 1, (rows, cols), 0, tmp_path / "data")
+        data = generate_synthetic_dataset(
+            SynthConfig(1, 1, rows=rows, cols=cols, seed=0), tmp_path / "data")
         out = tmp_path / "fused.pgm"
         argv = _fuse_argv(data / "class00" / "00_thermal.pgm",
                           data / "class00" / "00_visual.pgm", out) + flags
@@ -211,6 +215,25 @@ class TestSynth:
 
     def test_bad_count_is_data_error(self, tmp_path, capsys):
         assert main(["synth", "--classes", "0", "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--classes", "0"], "class count must be >= 1, got 0"),
+        (["--per-class", "0"], "per-class count must be >= 1, got 0"),
+        (["--rows", "1"], "dims must be at least 2x2, got (1, 64)"),
+    ])
+    def test_bad_setting_message_and_no_directory(self, tmp_path, capsys, flags, err):
+        out = tmp_path / "d"
+        assert main(["synth", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+    def test_files_match_pinned_digests(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "3", "--per-class", "2", "--rows", "19",
+                     "--cols", "23", "--seed", "4", "--out", str(out)]) == 0
+        got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.rglob("*")) if p.is_file()}
+        assert got == json.loads(SYNTH_DIGESTS.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -546,6 +569,26 @@ options:
   --out OUT             output directory
 """
 
+_SYNTH_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --classes CLASSES
+  --per-class PER_CLASS
+  --rows ROWS
+  --cols COLS
+  --seed SEED
+  --out OUT             output directory
+"""
+
+_EVALUATE_OPTIONS = """\
+options:
+  -h, --help            show this help message and exit
+  --data DATA
+  --model MODEL
+  --report REPORT       output report JSON path
+  --modality {fused,thermal,visual}
+"""
+
 
 class TestConfigFlags:
     """The decompose, fuse and train flags are PipelineConfig fields."""
@@ -638,6 +681,7 @@ class TestConfigFlags:
 
     @pytest.mark.parametrize("command, options", [
         ("train", _TRAIN_OPTIONS), ("fuse", _FUSE_OPTIONS), ("decompose", _DECOMPOSE_OPTIONS),
+        ("synth", _SYNTH_OPTIONS), ("evaluate", _EVALUATE_OPTIONS),
     ])
     def test_help_option_lines_are_pinned(self, monkeypatch, capsys, command, options):
         monkeypatch.setenv("COLUMNS", "80")

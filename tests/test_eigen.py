@@ -5,6 +5,8 @@ The oracle materializes the full pixel-by-pixel covariance matrix (fine at
 checked against the definition it is supposed to equal.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -192,6 +194,16 @@ class TestInPlaceFit:
         before = images.copy()
         fit_eigenspace(images, k=3)
         assert np.array_equal(images, before)
+
+    def test_read_only_array_is_left_unchanged(self, random_images):
+        images = np.stack(random_images)
+        images.flags.writeable = False
+        fit_eigenspace(images, k=3)
+        assert np.array_equal(images, np.stack(random_images))
+
+    def test_dim_mismatch_names_the_image(self):
+        with pytest.raises(DataError, match=re.escape("image 2 dims (4, 5) differ from (4, 4)")):
+            fit_eigenspace([np.ones((4, 4)), np.zeros((4, 4)), np.ones((4, 5))], k=1)
 
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_basis_bitwise_equal_to_whole_basis_expressions(self, k):

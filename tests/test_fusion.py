@@ -45,7 +45,7 @@ def assert_same_bits(actual, expected):
 def tree_coefficient_grids(tree):
     yield "approx", tree.deepest_approx
     for level, det in enumerate(tree.details, start=1):
-        for name, grid in zip("cH cV cD".split(), det.grids()):
+        for name, grid in zip("cH cV cD".split(), det):
             yield f"L{level}_{name}", grid
 
 
@@ -158,7 +158,7 @@ class TestFuseTrees:
             decompose(v_img, WaveletKind.HAAR, 1),
             FusionPolicy(),
         )
-        for grid in fused.details[0].grids():
+        for grid in fused.details[0]:
             np.testing.assert_array_equal(grid, np.zeros((4, 4)))
 
     def test_matches_flat_oracle_per_grid(self):

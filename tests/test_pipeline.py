@@ -4,6 +4,7 @@ import base64
 import io
 import json
 import re
+import typing
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from wavefuse import pipeline
 from wavefuse.eigen import EigenspaceModel, fit_eigenspace, project
 from wavefuse.errors import DataError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
-from wavefuse.mlp import MlpConfig, MlpModel, parameter_count, predict, train
+from wavefuse.mlp import MlpConfig, MlpModel, field_types, parameter_count, predict, train
 from wavefuse.imgio import load_image, save_image
 from wavefuse.wavelet import WaveletKind
 from wavefuse.pipeline import (
@@ -26,6 +27,7 @@ from wavefuse.pipeline import (
     PipelineConfig,
     PipelineModel,
     Sample,
+    SynthConfig,
     evaluate,
     format_report,
     generate_synthetic_dataset,
@@ -58,7 +60,7 @@ def _count_reads(monkeypatch) -> list:
 @pytest.fixture(scope="module")
 def small_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
-    generate_synthetic_dataset(4, 6, (16, 16), seed=5, out_dir=root)
+    generate_synthetic_dataset(SynthConfig(4, 6, rows=16, cols=16, seed=5), root)
     return root
 
 
@@ -187,14 +189,14 @@ class TestTrainPipeline:
         assert model.eigenspace.input_dims == (16, 16)
 
     def test_single_class_rejected(self, tmp_path):
-        generate_synthetic_dataset(1, 4, (16, 16), seed=0, out_dir=tmp_path)
+        generate_synthetic_dataset(SynthConfig(1, 4, rows=16, cols=16, seed=0), tmp_path)
         data = ingest_dataset(tmp_path)
         with pytest.raises(DataError, match="classes"):
             train_pipeline(data, SMALL_CFG)
 
     def test_class_without_training_samples_rejected(self, tmp_path):
         # a 1-sample class at fraction 0.4 keeps its sample for testing (0.4 + 0.5 < 1)
-        generate_synthetic_dataset(3, 3, (16, 16), seed=0, out_dir=tmp_path)
+        generate_synthetic_dataset(SynthConfig(3, 3, rows=16, cols=16, seed=0), tmp_path)
         for path in (tmp_path / "class01").glob("0[12]_*.pgm"):
             path.unlink()
         data = ingest_dataset(tmp_path)
@@ -261,7 +263,7 @@ class TestTrainPipeline:
     def test_model_equals_reference_from_public_pieces(self, tmp_path, wavelet):
         # train_pipeline takes the features from the rows the fit centred in
         # place; the reference fits a list and projects each fused image.
-        generate_synthetic_dataset(3, 4, (19, 23), seed=2, out_dir=tmp_path)
+        generate_synthetic_dataset(SynthConfig(3, 4, rows=19, cols=23, seed=2), tmp_path)
         data = ingest_dataset(tmp_path)
         cfg = PipelineConfig(wavelet=wavelet, levels=3, epochs=30, hidden=6)
         images, targets = [], []
@@ -355,7 +357,7 @@ class TestEvaluate:
     def test_empty_test_split_rejected(self, small_model, tmp_path):
         # 1-sample classes at fraction 0.5 train on every sample (0.5 + 0.5 = 1)
         model, _ = small_model
-        generate_synthetic_dataset(4, 1, (16, 16), seed=5, out_dir=tmp_path)
+        generate_synthetic_dataset(SynthConfig(4, 1, rows=16, cols=16, seed=5), tmp_path)
         data = ingest_dataset(tmp_path)
         assert data.split(model.config)[1] == []
         with pytest.raises(DataError, match="empty"):
@@ -376,7 +378,7 @@ class TestEvaluate:
 
     def test_unknown_class_rejected(self, small_model, tmp_path):
         model, _ = small_model
-        generate_synthetic_dataset(2, 2, (16, 16), seed=9, out_dir=tmp_path)
+        generate_synthetic_dataset(SynthConfig(2, 2, rows=16, cols=16, seed=9), tmp_path)
         (tmp_path / "class00").rename(tmp_path / "stranger")
         data = ingest_dataset(tmp_path)
         with pytest.raises(DataError, match="not known"):
@@ -384,7 +386,7 @@ class TestEvaluate:
 
     def test_missing_model_class_rejected_before_any_read(self, tmp_path, monkeypatch):
         # a report without class01 would read as that class recognised at 0 %
-        generate_synthetic_dataset(3, 6, (16, 16), seed=0, out_dir=tmp_path)
+        generate_synthetic_dataset(SynthConfig(3, 6, rows=16, cols=16, seed=0), tmp_path)
         cfg = PipelineConfig(levels=2, epochs=5, hidden=4)
         model = train_pipeline(ingest_dataset(tmp_path), cfg)
         for p in (tmp_path / "class01").iterdir():
@@ -400,7 +402,7 @@ class TestEvaluate:
         # training image, among the test images. Now no other class can move.
         # class00 itself re-draws its split at 5 samples; this draw keeps its
         # three training pairs, which another draw need not do.
-        generate_synthetic_dataset(3, 6, (16, 16), seed=0, out_dir=tmp_path)
+        generate_synthetic_dataset(SynthConfig(3, 6, rows=16, cols=16, seed=0), tmp_path)
         cfg = PipelineConfig(levels=2, epochs=5, hidden=4)
         reads = _count_reads(monkeypatch)
         model = train_pipeline(ingest_dataset(tmp_path), cfg)
@@ -415,7 +417,8 @@ class TestEvaluate:
 
 class TestGenerator:
     def test_file_counts_and_layout(self, tmp_path):
-        out = generate_synthetic_dataset(10, 20, (64, 64), seed=0, out_dir=tmp_path / "d")
+        out = generate_synthetic_dataset(
+            SynthConfig(10, 20, rows=64, cols=64, seed=0), tmp_path / "d")
         dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert len(dirs) == 10
         files = list(out.glob("*/*.pgm"))
@@ -424,21 +427,23 @@ class TestGenerator:
         assert img.shape == (64, 64)
 
     def test_same_seed_identical_files(self, tmp_path):
-        a = generate_synthetic_dataset(3, 2, (32, 32), seed=4, out_dir=tmp_path / "a")
-        b = generate_synthetic_dataset(3, 2, (32, 32), seed=4, out_dir=tmp_path / "b")
+        a = generate_synthetic_dataset(SynthConfig(3, 2, rows=32, cols=32, seed=4), tmp_path / "a")
+        b = generate_synthetic_dataset(SynthConfig(3, 2, rows=32, cols=32, seed=4), tmp_path / "b")
         for pa in sorted(a.glob("*/*.pgm")):
             pb = b / pa.relative_to(a)
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_smallest_fixture_runs_end_to_end(self, tmp_path):
-        out = generate_synthetic_dataset(2, 2, (16, 16), seed=1, out_dir=tmp_path / "d")
+        out = generate_synthetic_dataset(
+            SynthConfig(2, 2, rows=16, cols=16, seed=1), tmp_path / "d")
         data = ingest_dataset(out)
         model = train_pipeline(data, PipelineConfig(levels=2, epochs=5, hidden=4))
         report = evaluate(model, data)
         assert report.overall.tested == 2
 
     def test_modalities_complement_each_other(self, tmp_path):
-        out = generate_synthetic_dataset(6, 4, (32, 32), seed=2, out_dir=tmp_path / "d")
+        out = generate_synthetic_dataset(
+            SynthConfig(6, 4, rows=32, cols=32, seed=2), tmp_path / "d")
         thermal_means = {}
         visual_means = {}
         for c in range(6):
@@ -452,9 +457,48 @@ class TestGenerator:
 
     def test_bad_counts_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            generate_synthetic_dataset(0, 2, (16, 16), seed=0, out_dir=tmp_path)
+            generate_synthetic_dataset(SynthConfig(0, 2, rows=16, cols=16, seed=0), tmp_path)
         with pytest.raises(DataError):
-            generate_synthetic_dataset(2, 0, (16, 16), seed=0, out_dir=tmp_path)
+            generate_synthetic_dataset(SynthConfig(2, 0, rows=16, cols=16, seed=0), tmp_path)
+
+
+class TestSynthConfig:
+    """The ``synth`` settings are typed by the rule every config uses."""
+
+    def test_fields_and_defaults_are_the_synth_flags(self):
+        assert [f.name for f in fields(SynthConfig)] == [
+            "classes", "per_class", "rows", "cols", "seed"]
+        assert SynthConfig() == SynthConfig(classes=10, per_class=20, rows=64, cols=64, seed=0)
+
+    @pytest.mark.parametrize("field", ["classes", "per_class", "rows", "cols", "seed"])
+    @pytest.mark.parametrize("value, match", [
+        (True, "must be an integer, got True"),
+        (2.5, "must be an integer, got 2.5"),
+        ("3", "must be an integer, got '3'"),
+        (float("inf"), "must be finite, got infinity"),
+    ])
+    def test_bad_values_name_the_field(self, field, value, match):
+        with pytest.raises(DataError, match=re.escape(f"{field} {match}")):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["classes", "per_class", "rows", "cols", "seed"])
+    def test_integer_beyond_float_range_stays_an_integer(self, field):
+        # every field is an integer, and typed converts no integer to float
+        assert getattr(SynthConfig(**{field: 10**400}), field) == 10**400
+
+    def test_numbers_normalised(self):
+        cfg = SynthConfig(classes=np.int64(3))
+        assert type(cfg.classes) is int and cfg.classes == 3
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("classes", 0, "class count must be >= 1, got 0"),
+        ("per_class", -1, "per-class count must be >= 1, got -1"),
+        ("rows", 1, "dims must be at least 2x2, got (1, 64)"),
+        ("cols", 0, "dims must be at least 2x2, got (64, 0)"),
+    ])
+    def test_out_of_range_values_rejected(self, field, value, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            SynthConfig(**{field: value})
 
 
 class TestPersistence:
@@ -551,7 +595,7 @@ class TestPersistence:
         # pinned from report_dict, the hand-written encoder before _json_fields
         pin = MODEL_V3.parent / f"report_{modality}"
         root = tmp_path / "data"
-        generate_synthetic_dataset(2, 4, (8, 8), seed=0, out_dir=root)
+        generate_synthetic_dataset(SynthConfig(2, 4, rows=8, cols=8, seed=0), root)
         save_image(np.full((8, 8), 0.5), root / "class00" / "lonely_thermal.pgm")
         report = evaluate(load_model(MODEL_V3), ingest_dataset(root), modality=modality)
         path = tmp_path / "r.json"
@@ -845,6 +889,21 @@ class TestConfig:
     def test_pca_k_message_names_auto(self):
         with pytest.raises(DataError, match="pca_k must be an integer or 'auto', got 'all'"):
             PipelineConfig(pca_k="all")
+
+    def test_hints_are_evaluated_once_per_class(self, monkeypatch):
+        configs = [lambda: FusionPolicy("average"), PipelineConfig, SynthConfig,
+                   lambda: MlpConfig((2, 1))]
+        for make in configs:
+            make()
+
+        def evaluate_hints(*args, **kwargs):
+            raise AssertionError("type hints evaluated again")
+
+        monkeypatch.setattr(typing, "get_type_hints", evaluate_hints)
+        for make in configs:
+            make()
+        assert field_types(SynthConfig) == {name: int for name in (
+            "classes", "per_class", "rows", "cols", "seed")}
 
     def test_integer_beyond_float_range(self):
         with pytest.raises(DataError, match="learning_rate must be finite"):

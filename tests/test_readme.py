@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wavefuse import generate_synthetic_dataset, load_image
+from wavefuse import SynthConfig, generate_synthetic_dataset, load_image
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,7 +17,8 @@ def _library_block() -> str:
 
 def test_library_example_runs(tmp_path, monkeypatch, capsys):
     # 3 classes x 16 pairs: 24 train at the default fraction 0.5, enough for pca_k=20
-    data = generate_synthetic_dataset(3, 16, (16, 16), seed=0, out_dir=tmp_path / "data")
+    data = generate_synthetic_dataset(
+        SynthConfig(3, 16, rows=16, cols=16, seed=0), tmp_path / "data")
     thermal = load_image(data / "class00" / "00_thermal.pgm")
     visual = load_image(data / "class00" / "00_visual.pgm")
     monkeypatch.chdir(tmp_path)

@@ -123,7 +123,8 @@ def dwt2(img, kind):
 def single_band_tree(dims, kind, band, value):
     """A one-level tree of zeros except one band, written through its view."""
     tree = decompose(np.zeros(dims), kind, 1, pad=False)
-    grid = tree.deepest_approx if band == "cA" else getattr(tree.details[0], band)
+    bands = dict(zip(("cH", "cV", "cD"), tree.details[0]), cA=tree.deepest_approx)
+    grid = bands[band]
     grid[...] = value
     return tree
 
@@ -132,16 +133,16 @@ class TestDwt2:
     def test_constant_image(self):
         tree = dwt2(np.ones((2, 2)), WaveletKind.HAAR)
         np.testing.assert_allclose(tree.deepest_approx, [[2.0]], atol=1e-12)
-        for grid in tree.details[0].grids():
+        for grid in tree.details[0]:
             np.testing.assert_allclose(grid, [[0.0]], atol=1e-12)
 
     def test_two_by_two_orientation(self):
         tree = dwt2(np.array([[1.0, 2.0], [3.0, 4.0]]), WaveletKind.HAAR)
-        det = tree.details[0]
+        cH, cV, cD = tree.details[0]
         assert tree.deepest_approx[0, 0] == pytest.approx(5.0, abs=1e-12)
-        assert det.cH[0, 0] == pytest.approx(-2.0, abs=1e-12)
-        assert det.cV[0, 0] == pytest.approx(-1.0, abs=1e-12)
-        assert det.cD[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert cH[0, 0] == pytest.approx(-2.0, abs=1e-12)
+        assert cV[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        assert cD[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("dims", [(8, 8), (6, 10), (16, 4)])
@@ -151,11 +152,11 @@ class TestDwt2:
         fb = filter_bank(kind)
         ca, chh, cv, cd = oracle_dwt2(img, fb.lo_d, fb.hi_d)
         tree = dwt2(img, kind)
-        det = tree.details[0]
+        cH, cV, cD = tree.details[0]
         np.testing.assert_allclose(tree.deepest_approx, ca, atol=1e-12)
-        np.testing.assert_allclose(det.cH, chh, atol=1e-12)
-        np.testing.assert_allclose(det.cV, cv, atol=1e-12)
-        np.testing.assert_allclose(det.cD, cd, atol=1e-12)
+        np.testing.assert_allclose(cH, chh, atol=1e-12)
+        np.testing.assert_allclose(cV, cv, atol=1e-12)
+        np.testing.assert_allclose(cD, cd, atol=1e-12)
         # the whole array is the two-sided product, which pins the Mallat layout
         rows, cols = dims
         row_op = np.vstack([analysis_matrix(fb.lo_d, cols), analysis_matrix(fb.hi_d, cols)])
@@ -198,7 +199,7 @@ class TestIdwt2:
         grids = rng.random((4, 4, 6))
         fb = filter_bank(kind)
         tree = decompose(np.zeros((8, 12)), kind, 1, pad=False)
-        for view, grid in zip((tree.deepest_approx, *tree.details[0].grids()), grids):
+        for view, grid in zip((tree.deepest_approx, *tree.details[0]), grids):
             view[...] = grid
         expected = oracle_idwt2(*grids, fb.lo_d, fb.hi_d)
         np.testing.assert_allclose(reconstruct(tree), expected, atol=1e-12)
@@ -257,7 +258,7 @@ class TestDecomposeReconstruct:
     def test_level_five_grid_sizes(self):
         tree = decompose(np.zeros((32, 32)), WaveletKind.HAAR, 5)
         assert tree.deepest_approx.shape == (1, 1)
-        assert [d.dims for d in tree.details] == [(16, 16), (8, 8), (4, 4), (2, 2), (1, 1)]
+        assert [d[0].shape for d in tree.details] == [(16, 16), (8, 8), (4, 4), (2, 2), (1, 1)]
 
     def test_single_level_equals_dwt2(self):
         # level 2 is one more dwt2 of level 1's approximation
@@ -268,7 +269,7 @@ class TestDecomposeReconstruct:
         second = dwt2(first.deepest_approx, WaveletKind.DB2)
         np.testing.assert_array_equal(tree.deepest_approx, second.deepest_approx)
         for level, sb in enumerate((first, second)):
-            for got, want in zip(tree.details[level].grids(), sb.details[0].grids()):
+            for got, want in zip(tree.details[level], sb.details[0]):
                 np.testing.assert_array_equal(got, want)
 
     def test_multilevel_energy_conserved(self):
@@ -276,13 +277,13 @@ class TestDecomposeReconstruct:
         img = rng.random((8, 8))
         tree = decompose(img, WaveletKind.HAAR, 2)
         mass = (tree.deepest_approx**2).sum() + sum(
-            (g**2).sum() for d in tree.details for g in d.grids()
+            (g**2).sum() for d in tree.details for g in d
         )
         assert mass == pytest.approx((img**2).sum(), rel=1e-9)
 
     def test_coefficient_count_matches_padded_pixels(self):
         tree = decompose(np.ones((37, 41)), WaveletKind.DB2, 3)
-        assert tree.coefficient_count() == 40 * 48
+        assert tree.coeffs.size == 40 * 48
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("levels", [1, 2, 3, 4, 5])
@@ -301,7 +302,7 @@ class TestDecomposeReconstruct:
 
     def test_zeroed_details_of_constant_image(self):
         tree = decompose(np.full((8, 8), 0.4), WaveletKind.HAAR, 1)
-        for grid in tree.details[0].grids():
+        for grid in tree.details[0]:
             grid[:] = 0.0
         np.testing.assert_allclose(reconstruct(tree), np.full((8, 8), 0.4), atol=1e-12)
 
