@@ -9,6 +9,7 @@ formats externally, e.g. ``convert face.png face.pgm`` (ImageMagick) or
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,30 +18,16 @@ from .errors import DataError, PgmError
 
 _WHITESPACE = b" \t\r\n\v\f"
 MAX_MAXVAL = 65535
-
-
-def _skip_separators(data: bytes, pos: int) -> int:
-    """Advance past whitespace and '#' comment lines."""
-    n = len(data)
-    while pos < n:
-        if data[pos] == 0x23:  # '#'
-            eol = data.find(b"\n", pos)
-            pos = n if eol < 0 else eol + 1
-        elif data[pos] in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
+# A run of separators (whitespace, or '#' through the end of its line), then a
+# token; the token group is empty only where the data ends.
+_TOKEN = re.compile(rb"(?:[%s]+|#[^\n]*\n?)*([^%s#]*)" % ((re.escape(_WHITESPACE),) * 2))
 
 
 def _next_token(data: bytes, pos: int, part: str = "header") -> tuple[bytes, int]:
-    pos = _skip_separators(data, pos)
-    if pos >= len(data):
-        raise PgmError(f"unexpected end of {part}", pos)
-    end = pos
-    while end < len(data) and data[end] not in _WHITESPACE and data[end] != 0x23:
-        end += 1
-    return data[pos:end], end
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
+        raise PgmError(f"unexpected end of {part}", match.start(1))
+    return match[1], match.end()
 
 
 def _next_int(data: bytes, pos: int, what: str, part: str = "header") -> tuple[int, int]:

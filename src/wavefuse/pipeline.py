@@ -354,6 +354,8 @@ class SynthConfig:
             raise DataError(f"per-class count must be >= 1, got {self.per_class}")
         if self.rows < 2 or self.cols < 2:
             raise DataError(f"dims must be at least 2x2, got {(self.rows, self.cols)}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> Path:

@@ -220,6 +220,7 @@ class TestSynth:
         (["--classes", "0"], "class count must be >= 1, got 0"),
         (["--per-class", "0"], "per-class count must be >= 1, got 0"),
         (["--rows", "1"], "dims must be at least 2x2, got (1, 64)"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_bad_setting_message_and_no_directory(self, tmp_path, capsys, flags, err):
         out = tmp_path / "d"

@@ -110,6 +110,43 @@ class TestLoadImage:
         assert str(info.value).startswith(f"{path}: ")
 
 
+# Each file's exact outcome: the array it loads as, or its error message after the path.
+_CORPUS = {
+    "p2-comments-in-raster": (b"P2\n2 2\n9\n1 # one\n2\n# row two\n3#x\n9\n",
+                              np.array([[1, 2], [3, 9]]) / 9),
+    "p2-every-separator": (b"P2\v2\f1\t9\r\n4\r\n5\r\n", np.array([[4, 5]]) / 9),
+    "p5-every-separator": (b"P5\v2\f1\t# c\r\n255\r" + bytes([0, 51]),
+                           np.array([[0, 51]]) / 255),
+    "comment-at-eof-without-newline": (b"P2 1 1 9 3 # end", np.array([[3]]) / 9),
+    "p2-sixteen-bit": (b"P2 3 1 65535 0 4660 65535\n", np.array([[0, 4660, 65535]]) / 65535),
+    "whitespace-only": (b" \n\t\r\v\f", "unexpected end of header (byte offset 6)"),
+    "header-ends-after-width": (b"P5 2 ", "unexpected end of header (byte offset 5)"),
+    "comment-runs-to-eof": (b"P5 2 1 # no newline", "unexpected end of header (byte offset 19)"),
+    "non-digit-height": (b"P5 2 -1 255\n\x00\x00",
+                         "malformed header: expected height, got b'-1' (byte offset 5)"),
+    "p2-pixel-too-long-for-int": (b"P2 1 1 5\n" + b"7" * 4301,
+                                  "malformed pixel data: pixel 0 has 4301 digits (byte offset 9)"),
+    "p5-no-separator-before-raster": (b"P5 1 1 255#\n\x00",
+                                      "malformed header: missing separator before raster "
+                                      "(byte offset 10)"),
+}
+
+
+@pytest.mark.parametrize("data, expected", _CORPUS.values(), ids=_CORPUS.keys())
+def test_pinned_corpus(tmp_path, data, expected):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(PgmError) as info:
+            load_image(path)
+        assert str(info.value) == f"{path}: {expected}"
+        assert str(info.value).endswith(f" (byte offset {info.value.offset})")
+    else:
+        img = load_image(path)
+        assert img.dtype == np.float64
+        np.testing.assert_array_equal(img, expected)
+
+
 _SMALL_FILES = [
     b"P2\n# c\n3 2\n255\n0 51 102\n153 204 255\n",
     b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]),

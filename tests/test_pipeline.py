@@ -495,6 +495,7 @@ class TestSynthConfig:
         ("per_class", -1, "per-class count must be >= 1, got -1"),
         ("rows", 1, "dims must be at least 2x2, got (1, 64)"),
         ("cols", 0, "dims must be at least 2x2, got (64, 0)"),
+        ("seed", -1, "seed must be >= 0, got -1"),
     ])
     def test_out_of_range_values_rejected(self, field, value, message):
         with pytest.raises(DataError, match=re.escape(message)):
