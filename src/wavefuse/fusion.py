@@ -53,11 +53,25 @@ def fuse_coeffs(a: np.ndarray, b: np.ndarray, rule: FusionRule) -> np.ndarray:
     rule = FusionRule(rule)
     if rule is FusionRule.AVERAGE:
         return (a + b) / 2.0
+    return _select(a, b, rule)
+
+
+def _select(
+    a: np.ndarray, b: np.ndarray, rule: FusionRule, opposite: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Select from two equal-shape float64 grids by ``rule``, maxabs or minabs.
+
+    Inside the top-left ``opposite`` dims the other rule selects: the two
+    differ only in the sign of the magnitude difference, which negates exactly.
+    """
     x, y = a.reshape(-1).view(np.int64), b.reshape(-1).view(np.int64)
     m, k = x & _MAGNITUDE, y & _MAGNITUDE
     if max(m.max(initial=0), k.max(initial=0)) >= _INFINITY:
         raise DataError("non-finite coefficients")
     np.subtract(m, k, out=k) if rule is FusionRule.MAX_ABS else np.subtract(k, m, out=k)
+    if opposite:
+        block = k.reshape(a.shape)[: opposite[0], : opposite[1]]
+        np.negative(block, out=block)
     k >>= 63
     np.bitwise_xor(x, y, out=m)
     m &= k
@@ -69,8 +83,9 @@ def fuse_trees(
 ) -> DecompositionTree:
     """Fuse two decompositions of identical wavelet, depth, and grid dims.
 
-    The detail rule runs over the whole coefficient array at once, then the
-    approximation rule overwrites the deepest approximation block.
+    The detail rule fuses every coefficient outside the deepest approximation
+    block and the approximation rule those inside it; two selection rules
+    (maxabs, minabs) take one pass over the whole array.
     """
     policy = policy or FusionPolicy()
     if t.wavelet != v.wavelet:
@@ -81,10 +96,15 @@ def fuse_trees(
         raise DataError(
             f"original dims differ: {t.original_dims} vs {v.original_dims}"
         )
-    fused = replace(t, coeffs=fuse_coeffs(t.coeffs, v.coeffs, policy.detail_rule))
-    fused.deepest_approx[...] = fuse_coeffs(
-        t.deepest_approx, v.deepest_approx, policy.approx_rule
-    )
+    if t.coeffs.shape != v.coeffs.shape:
+        raise DataError(f"coefficient grid dims differ: {t.coeffs.shape} vs {v.coeffs.shape}")
+    detail, approx = policy.detail_rule, policy.approx_rule
+    if FusionRule.AVERAGE not in (detail, approx):
+        opposite = t.deepest_approx.shape if approx is not detail else None
+        return replace(t, coeffs=_select(t.coeffs, v.coeffs, detail, opposite))
+    fused = replace(t, coeffs=fuse_coeffs(t.coeffs, v.coeffs, detail))
+    if approx is not detail:
+        fused.deepest_approx[...] = fuse_coeffs(t.deepest_approx, v.deepest_approx, approx)
     return fused
 
 

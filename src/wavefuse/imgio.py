@@ -84,6 +84,9 @@ def _decode(data: bytes) -> np.ndarray:
             )
         dtype = ">u2" if maxval > 255 else np.uint8
         samples = np.frombuffer(raster, dtype=dtype, count=count).astype(np.float64)
+        if samples.max() > maxval:
+            first = int(np.argmax(samples > maxval))
+            raise PgmError(f"pixel value exceeds maxval {maxval}", pos + first * width)
     else:
         # each pixel takes a digit and the separator before it; check before allocating
         if 2 * count > len(data) - pos:
@@ -94,13 +97,12 @@ def _decode(data: bytes) -> np.ndarray:
             )
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
-            val, pos = _next_int(data, pos, f"pixel {i}", "pixel data")
+            val, end = _next_int(data, pos, f"pixel {i}", "pixel data")
             if val > maxval:  # also keeps a huge value from overflowing the float
-                raise PgmError(f"pixel value exceeds maxval {maxval}", pos)
-            values[i] = val
+                start = _TOKEN.match(data, pos).start(1)
+                raise PgmError(f"pixel value exceeds maxval {maxval}", start)
+            values[i], pos = val, end
         samples = values
-    if samples.max(initial=0) > maxval:
-        raise PgmError(f"pixel value exceeds maxval {maxval}")
     samples /= float(maxval)
     return samples.reshape(rows, cols)
 

@@ -46,6 +46,8 @@ MODEL_FORMAT_VERSION = 3
 
 _NOISE_SIGMA = 0.02
 _TEXTURE_SIGMA = 0.02
+# bytes in one file name: NAME_MAX on Linux and macOS, and NTFS's limit
+_NAME_MAX = 255
 # bytes a model file's base64 is written or read in at a time; whole 3-byte groups
 _PIECE = 3 << 16
 
@@ -372,6 +374,11 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> Path:
     Gaussian noise makes samples within a class distinct.
     """
     classes, per_class, rows, cols, seed = cfg.classes, cfg.per_class, cfg.rows, cfg.cols, cfg.seed
+    # The longest names are class<c> and <s>_thermal.pgm, with ids as wide as
+    # the largest one; checked first, so such a count leaves no directory behind.
+    for count, what, rest in ((classes, "class", "class"), (per_class, "per-class", "_thermal.pgm")):
+        if count - 1 >= 10 ** (_NAME_MAX - len(rest)):
+            raise DataError(f"{what} count too large: file names would pass {_NAME_MAX} bytes")
 
     half_r, half_c = rows // 2, cols // 2
     t_mask = np.zeros((rows, cols))

@@ -221,6 +221,11 @@ class TestSynth:
         (["--per-class", "0"], "per-class count must be >= 1, got 0"),
         (["--rows", "1"], "dims must be at least 2x2, got (1, 64)"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        # ids as wide as the count: a name past 255 bytes fails before any directory exists
+        (["--per-class", "1" + "0" * 400], "per-class count too large: file names would pass 255 bytes"),
+        (["--per-class", "1" + "0" * 242 + "1"],
+         "per-class count too large: file names would pass 255 bytes"),
+        (["--classes", "1" + "0" * 400], "class count too large: file names would pass 255 bytes"),
     ])
     def test_bad_setting_message_and_no_directory(self, tmp_path, capsys, flags, err):
         out = tmp_path / "d"

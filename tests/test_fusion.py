@@ -211,6 +211,46 @@ class TestFuseTrees:
         with pytest.raises(DataError, match="level"):
             fuse_trees(a, b, FusionPolicy())
 
+    def test_coefficient_dims_mismatch_rejected(self):
+        a = DecompositionTree(WaveletKind.HAAR, np.ones((8, 8)), 1, (8, 8))
+        b = DecompositionTree(WaveletKind.HAAR, np.ones((8, 10)), 1, (8, 8))
+        with pytest.raises(DataError, match=re.escape("dims differ: (8, 8) vs (8, 10)")):
+            fuse_trees(a, b, FusionPolicy())
+
+
+@pytest.fixture(scope="module", params=[(64, 64), (509, 509)], ids=["64x64", "509x509"])
+def tree_pair(request):
+    rng = np.random.default_rng(43)
+    return tuple(decompose(rng.random(request.param), WaveletKind.DB2, 5) for _ in range(2))
+
+
+class TestOneSelectionPass:
+    """``fuse_trees`` against the detail rule over the whole array, then the approx rule."""
+
+    @pytest.mark.parametrize("approx_rule, detail_rule", itertools.product(ALL_RULES, ALL_RULES))
+    def test_bytes_equal_the_two_call_reference(self, tree_pair, approx_rule, detail_rule):
+        t, v = tree_pair
+        expected = fuse_coeffs(t.coeffs, v.coeffs, detail_rule)
+        rows, cols = t.deepest_approx.shape
+        expected[:rows, :cols] = fuse_coeffs(t.deepest_approx, v.deepest_approx, approx_rule)
+        fused = fuse_trees(t, v, FusionPolicy(approx_rule, detail_rule))
+        assert fused.coeffs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("approx_rule, detail_rule", [
+        pair for pair in itertools.product(ALL_RULES, ALL_RULES)
+        if pair != (FusionRule.AVERAGE, FusionRule.AVERAGE)
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_the_deepest_block_alone_is_data_error(
+            self, approx_rule, detail_rule, bad):
+        coeffs = np.ones((8, 8))
+        coeffs[1, 0] = bad  # inside the 2 x 2 deepest block of two levels
+        t = DecompositionTree(WaveletKind.DB2, coeffs, 2, (8, 8))
+        v = DecompositionTree(WaveletKind.DB2, np.ones((8, 8)), 2, (8, 8))
+        for pair in ((t, v), (v, t)):
+            with pytest.raises(DataError, match="non-finite coefficients"):
+                fuse_trees(*pair, FusionPolicy(approx_rule, detail_rule))
+
 
 class TestFuseImages:
     @pytest.mark.parametrize("approx_rule", ALL_RULES)

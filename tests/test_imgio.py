@@ -129,6 +129,14 @@ _CORPUS = {
     "p5-no-separator-before-raster": (b"P5 1 1 255#\n\x00",
                                       "malformed header: missing separator before raster "
                                       "(byte offset 10)"),
+    # a pixel above maxval reports where its token or sample starts
+    "p2-pixel-over-maxval": (b"P2 1 1 5 7", "pixel value exceeds maxval 5 (byte offset 9)"),
+    "p2-padded-pixel-over-maxval-after-comment": (b"P2 2 1 9 1 # c\n 010 ",
+                                                  "pixel value exceeds maxval 9 (byte offset 16)"),
+    "p5-sample-over-maxval": (b"P5 3 1 9\n\x01\x02\x0a",
+                              "pixel value exceeds maxval 9 (byte offset 11)"),
+    "p5-16-bit-sample-over-maxval": (b"P5 3 1 300\n\x00\x01\x01\x2d\x01\x2d",
+                                     "pixel value exceeds maxval 300 (byte offset 13)"),
 }
 
 

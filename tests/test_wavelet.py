@@ -21,6 +21,7 @@ from wavefuse.wavelet import (
     DecompositionTree,
     WaveletKind,
     _operator,
+    _product,
     _transpose_into,
     decompose,
     export_tree,
@@ -242,7 +243,8 @@ class TestPanelTransposes:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("dims, levels", [
         ((509, 509), 5), ((600, 512), 3), ((512, 600), 3), ((600, 392), 3), ((1040, 520), 3),
-    ], ids=["509x509", "600x512", "512x600", "600x392", "1040x520"])
+        ((64, 64), 5), ((6, 10), 1),
+    ], ids=["509x509", "600x512", "512x600", "600x392", "1040x520", "64x64", "6x10"])
     def test_sweep_is_bitwise_the_per_level_formula(self, kind, dims, levels):
         img = np.random.default_rng(19).random(dims)
         tree = decompose(img, kind, levels)
@@ -252,6 +254,28 @@ class TestPanelTransposes:
         expected = per_level_sweep(tree.coeffs, kind, levels, True)[: dims[0], : dims[1]]
         assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
         assert np.abs(out - img).max() <= 1e-9
+
+
+class TestProduct:
+    """The sweep's products call scipy's CSR kernel directly."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("synthesis", [False, True], ids=["analysis", "synthesis"])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 64, 70, 512])
+    def test_kernel_is_bitwise_the_scipy_product(self, kind, synthesis, n):
+        a = _operator(kind, n, synthesis)
+        coeffs = np.random.default_rng(n).standard_normal((2 * n, 2 * n + 6))
+        level_block = coeffs[:n, : n + 3]
+        for x in (np.ascontiguousarray(level_block), level_block):
+            out = np.full((n, n + 3), np.nan)  # the kernel adds into out, so it must zero it
+            assert _product(a, x, out) is out
+            assert out.tobytes() == (a @ x).tobytes()
+
+    @pytest.mark.parametrize("x_dims, out_dims", [((6, 3), (8, 3)), ((8, 3), (8, 4)),
+                                                  ((8, 3), (6, 3))])
+    def test_mismatched_dims_rejected(self, x_dims, out_dims):
+        with pytest.raises(ValueError, match="product dims"):
+            _product(_operator(WaveletKind.DB2, 8), np.ones(x_dims), np.ones(out_dims))
 
 
 class TestDecomposeReconstruct:
