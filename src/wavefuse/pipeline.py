@@ -101,15 +101,15 @@ class PipelineConfig:
 
     wavelet: WaveletKind = WaveletKind.DB2
     levels: int = 5
-    approx_rule: FusionRule = FusionRule.MAX_ABS
-    detail_rule: FusionRule = FusionRule.MIN_ABS
+    approx_rule: FusionRule = FusionPolicy.approx_rule
+    detail_rule: FusionRule = FusionPolicy.detail_rule
     pca_k: int | str = AUTO
     hidden: int = 100
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    epochs: int = 1000
-    target_error: float = 1e-3
-    seed: int = 0
+    learning_rate: float = MlpConfig.learning_rate
+    momentum: float = MlpConfig.momentum
+    epochs: int = MlpConfig.epochs
+    target_error: float = MlpConfig.target_error
+    seed: int = MlpConfig.seed
     split_fraction: float = 0.5
 
     def __post_init__(self):
@@ -144,9 +144,11 @@ class PipelineModel:
     mlp: MlpModel
 
     def __post_init__(self):
-        for i, label in enumerate(self.class_labels):
-            if label in self.class_labels[:i]:
+        seen = set()
+        for label in self.class_labels:
+            if label in seen:
                 raise DataError(f"class label {label!r} appears more than once")
+            seen.add(label)
         if self.mlp.config.layer_sizes[-1] != len(self.class_labels):
             raise DataError(
                 f"MLP output size {self.mlp.config.layer_sizes[-1]} does not match "
@@ -298,10 +300,10 @@ def evaluate(
     if split not in ("test", "train"):
         raise DataError(f"unknown split {split!r}, expected 'test' or 'train'")
     index = {label: i for i, label in enumerate(model.class_labels)}
-    present = [rec.label for rec in data.classes]
-    for label in present:
-        if label not in index:
-            raise DataError(f"class {label} is not known to the model")
+    present = {rec.label for rec in data.classes}
+    for rec in data.classes:
+        if rec.label not in index:
+            raise DataError(f"class {rec.label} is not known to the model")
     # a report that tested no sample of a model class would pass for one of the whole model
     for label in model.class_labels:
         if label not in present:

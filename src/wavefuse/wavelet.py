@@ -17,7 +17,8 @@ Conventions, fixed so results are bit-reproducible:
   theory for multiresolution signal decomposition"): level l transforms the
   top-left (R >> l-1, C >> l-1) block in place, so every band is a view.
 - Synthesis is A_r.T @ Y @ A_c, the transpose of analysis and, since A_n is
-  orthogonal, its exact inverse.
+  orthogonal, its exact inverse. It needs no operator of its own: A_n's CSR
+  arrays, read by scipy's CSC kernel, are A_n.T.
 """
 
 from __future__ import annotations
@@ -75,20 +76,14 @@ def filter_bank(kind: WaveletKind) -> FilterBank:
 
 
 @functools.lru_cache(maxsize=128)
-def _operator(kind: WaveletKind, n: int, synthesis: bool = False) -> sparse.csr_matrix:
-    """The n x n analysis operator A_n, or with ``synthesis`` its transpose A_n.T.
+def _operator(kind: WaveletKind, n: int) -> sparse.csr_matrix:
+    """The n x n analysis operator A_n.
 
     Row i < n/2 of A_n is lo_d, row n/2 + i hi_d, both with their taps at
     columns (2i - k) mod n. The matrix is built from COO triplets with
     duplicates summed, so taps that wrap onto the same column (db2 at n = 2)
-    add up as circular convolution says. A_n.T is cached as CSR too, so
-    synthesis runs the same product as analysis: building ``.T`` on every
-    call cost about 27 us per operator, more than the product on small blocks.
-    Both are CSR because :func:`_product` calls scipy's CSR kernel on their
-    ``indptr``, ``indices`` and ``data`` directly.
+    add up as circular convolution says.
     """
-    if synthesis:
-        return _operator(kind, n).T.tocsr()
     fb = filter_bank(kind)
     half = n // 2
     out = np.repeat(np.arange(half), fb.length)
@@ -117,19 +112,21 @@ def _transpose_into(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return dst
 
 
-def _product(a: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a @ x`` into ``out`` and return ``out``, bit for bit ``a @ x``.
+def _product(kernel, a: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ x`` (CSR kernel) or ``a.T @ x`` (CSC kernel) into ``out``.
 
-    ``a @ x`` ends in this same call of scipy's CSR kernel, which adds the
-    product into a zeroed result. Called directly, it skips the dispatch and
-    the fresh result, which cost more than the product on small blocks: an
-    n x n product with n <= 16 took 3.8-4.4 us through ``@``, 1.5-2.0 us here.
+    ``kernel`` is scipy's ``csr_matvecs`` or ``csc_matvecs``, which add the
+    product into a zeroed result. ``a.T`` is a CSC matrix on ``a``'s own
+    arrays, so ``a @ x`` and ``a.T @ x`` end in these same calls, bit for bit.
+    Called directly, a kernel skips the dispatch and the fresh result, which
+    cost more than the product on small blocks: an n x n product with n <= 16
+    took 3.8-4.4 us through ``@``, 1.5-2.0 us here.
     """
     # the kernel reads and writes through raw pointers with no bounds of its own
     if a.shape != (out.shape[0], x.shape[0]) or out.shape[1] != x.shape[1]:
         raise ValueError(f"product dims: {a.shape} @ {x.shape} into {out.shape}")
     out.fill(0.0)
-    _sparsetools.csr_matvecs(*a.shape, x.shape[1], a.indptr, a.indices, a.data, x, out)
+    kernel(*a.shape, x.shape[1], a.indptr, a.indices, a.data, x, out)
     return out
 
 
@@ -143,15 +140,11 @@ def _sweep(coeffs: np.ndarray, kind: WaveletKind, levels: int, synthesis: bool) 
     intermediate in one of two scratch buffers of the whole array's size.
     """
     rows, cols = coeffs.shape
-    # Operators first: a cold cache builds a synthesis operator from the analysis
-    # one, and at 512 that next to the two buffers would set a fuse's peak memory.
-    steps = [
-        (_operator(kind, rows >> level, synthesis), _operator(kind, cols >> level, synthesis))
-        for level in (reversed(range(levels)) if synthesis else range(levels))
-    ]
+    kernel = _sparsetools.csc_matvecs if synthesis else _sparsetools.csr_matvecs
     first, second = np.empty(coeffs.size), np.empty(coeffs.size)
-    for a_r, a_c in steps:
-        r, c = a_r.shape[0], a_c.shape[0]
+    for level in reversed(range(levels)) if synthesis else range(levels):
+        r, c = rows >> level, cols >> level
+        a_r, a_c = _operator(kind, r), _operator(kind, c)
         block, x = coeffs[:r, :c], second[: r * c].reshape(r, c)
         # Below the first level a block is a strided view, which the kernel would
         # copy into a new array; copied into a buffer, it adds no memory.
@@ -159,9 +152,9 @@ def _sweep(coeffs: np.ndarray, kind: WaveletKind, levels: int, synthesis: bool) 
             x = block
         else:
             x[...] = block
-        product = _product(a_r, x, first[: r * c].reshape(r, c))
+        product = _product(kernel, a_r, x, first[: r * c].reshape(r, c))
         transposed = _transpose_into(product, second[: r * c].reshape(c, r))
-        _transpose_into(_product(a_c, transposed, first[: r * c].reshape(c, r)), block)
+        _transpose_into(_product(kernel, a_c, transposed, first[: r * c].reshape(c, r)), block)
 
 
 @dataclass

@@ -151,6 +151,8 @@ FUSE_CASES = {
                                        "--detail-rule", "maxabs"]),
     "db2-509x509-average": (509, 509, ["--approx-rule", "average", "--detail-rule", "average"]),
     "db2-509x509-swapped": (509, 509, ["--approx-rule", "minabs", "--detail-rule", "maxabs"]),
+    # no power-of-two length at any level: blocks 600/300/150 x 392/196/98
+    "db2-600x392-levels3": (600, 392, ["--levels", "3"]),
 }
 
 

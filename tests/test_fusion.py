@@ -14,7 +14,7 @@ import pytest
 from wavefuse.errors import DataError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_coeffs, fuse_images, fuse_trees
 from wavefuse.imgio import load_image, save_image
-from wavefuse.wavelet import DecompositionTree, WaveletKind, decompose
+from wavefuse.wavelet import DecompositionTree, WaveletKind, _operator, decompose
 
 ALL_RULES = [FusionRule.MAX_ABS, FusionRule.MIN_ABS, FusionRule.AVERAGE]
 SELECTION_RULES = [FusionRule.MAX_ABS, FusionRule.MIN_ABS]
@@ -292,6 +292,12 @@ class TestFuseImages:
     def test_non_2d_images_rejected(self):
         with pytest.raises(DataError, match=re.escape("got shape (4, 4, 2)")):
             fuse_images(np.ones((4, 4, 2)), np.ones((4, 4, 2)))
+
+    def test_one_cached_operator_per_length(self):
+        # analysis and synthesis share A_n: lengths 64, 32, 16, 8 and 4
+        _operator.cache_clear()
+        fuse_images(np.ones((64, 64)), np.zeros((64, 64)), WaveletKind.DB2, 5)
+        assert _operator.cache_info().currsize == 5
 
 
 class TestFusePathMemory:

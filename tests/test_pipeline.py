@@ -619,13 +619,18 @@ class TestPersistence:
         save_model(load_model(MODEL_V3), path)
         assert path.read_bytes() == MODEL_V3.read_bytes()
 
-    def test_repeated_class_label_rejected(self, tmp_path):
+    @pytest.mark.parametrize("labels, repeated", [
+        (["class00", "class00"], "class00"),
+        # the only repeat is the last of 100,001: a quadratic check would take minutes
+        ([f"class{i:06d}" for i in range(100_000)] + ["class000007"], "class000007"),
+    ], ids=["two", "100k"])
+    def test_repeated_class_label_rejected(self, labels, repeated, tmp_path):
         doc = json.loads(MODEL_V3.read_text())
-        doc["class_labels"] = ["class00", "class00"]
+        doc["class_labels"] = labels
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=re.escape(
-                f"model file {path}: class label 'class00' appears more than once")):
+                f"model file {path}: class label '{repeated}' appears more than once")):
             load_model(path)
 
     def test_mlp_config_that_differs_from_the_config_rejected(self, tmp_path):
@@ -847,6 +852,7 @@ class TestConfig:
     def test_mlp_config_shares_the_training_fields(self):
         cfg = PipelineConfig(learning_rate=0.3, momentum=0.5, epochs=7, seed=4, target_error=0.2)
         assert cfg.mlp_config([5, 4, 3]) == MlpConfig((5, 4, 3), 0.3, 0.5, 7, 4, 0.2)
+        assert PipelineConfig().mlp_config((5, 4, 3)) == MlpConfig((5, 4, 3))
 
     @pytest.mark.parametrize("value", [2.5, "x", True, "3", None])
     def test_int_field_rejects_non_integers(self, value):
