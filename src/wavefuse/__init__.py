@@ -1,6 +1,6 @@
 """Wavelet-domain thermal/visual image fusion with eigenface + MLP recognition."""
 
-from .eigen import AUTO, EigenspaceModel, fit_eigenspace, project, reconstruct_from_features
+from .eigen import EigenspaceModel, fit_eigenspace, project, reconstruct_from_features
 from .errors import DataError, NumericError, PgmError
 from .fusion import FusionPolicy, FusionRule, fuse_coeffs, fuse_images, fuse_trees
 from .imgio import crop, load_image, pad_to_block, save_image
@@ -10,16 +10,14 @@ from .pipeline import (
     EvaluationReport,
     PipelineConfig,
     PipelineModel,
-    SynthConfig,
     evaluate,
     format_report,
-    generate_synthetic_dataset,
     ingest_dataset,
-    load_model,
-    save_model,
-    save_report,
     train_pipeline,
 )
+from .settings import AUTO
+from .store import load_model, save_model, save_report
+from .synth import SynthConfig, generate_synthetic_dataset
 from .wavelet import (
     DecompositionTree,
     FilterBank,

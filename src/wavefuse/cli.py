@@ -15,24 +15,15 @@ import sys
 from dataclasses import fields
 from enum import EnumMeta
 
-from .eigen import AUTO
 from .errors import DataError, NumericError
 from .fusion import FusionPolicy, fuse_images
 from .imgio import load_image, save_image
 from .pipeline import (
-    MODALITIES,
-    PipelineConfig,
-    SynthConfig,
-    evaluate,
-    format_report,
-    generate_synthetic_dataset,
-    ingest_dataset,
-    load_model,
-    save_model,
-    save_report,
-    train_pipeline,
+    MODALITIES, PipelineConfig, evaluate, format_report, ingest_dataset, train_pipeline,
 )
-from .mlp import field_types, typed
+from .settings import AUTO, field_types, typed
+from .store import load_model, save_model, save_report
+from .synth import SynthConfig, generate_synthetic_dataset
 from .wavelet import decompose, export_tree
 
 

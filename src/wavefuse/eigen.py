@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-
-AUTO = "auto"
+from .settings import AUTO
 
 _ENERGY_FRACTION = 0.95
 

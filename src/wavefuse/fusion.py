@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .mlp import typed_fields
+from .settings import typed_fields
 from .wavelet import DecompositionTree, WaveletKind, decompose, reconstruct
 
 

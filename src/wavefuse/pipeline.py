@@ -1,4 +1,4 @@
-"""End-to-end recognition pipeline over paired thermal/visual images.
+"""Recognition over paired thermal/visual images: dataset index, training, evaluation, reports.
 
 A dataset is a directory of class subdirectories, each holding PGM pairs
 named ``<id>_thermal.pgm`` and ``<id>_visual.pgm``. Ingesting it only pairs
@@ -15,41 +15,27 @@ Evaluation can also score one sensor on its own: the thermal or visual image
 of each test sample, unfused, goes through the same project-predict chain of
 the fused-trained model. Fusing a channel with itself would give back the
 same image up to rounding, so the wavelet stage is skipped.
+
+Model and report files are read and written by ``store``, synthetic datasets by ``synth``.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import functools
-import json
-import math
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass
-from enum import Enum
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .eigen import AUTO, EigenspaceModel, fit_eigenspace, project
+from .eigen import EigenspaceModel, fit_eigenspace, project
 from .errors import DataError
 from .fusion import FusionPolicy, FusionRule, fuse_images
-from .imgio import load_image, save_image
-from .mlp import (
-    MlpConfig, MlpModel, field_types, parameter_count, predict, train, typed, typed_fields,
-)
+from .imgio import load_image
+from .mlp import MlpConfig, MlpModel, parameter_count, predict, train
+from .settings import AUTO, typed_fields
 from .wavelet import WaveletKind
 
 MODALITIES = ("fused", "thermal", "visual")
-MODEL_FORMAT_VERSION = 3
-
-_NOISE_SIGMA = 0.02
-_TEXTURE_SIGMA = 0.02
-# bytes in one file name: NAME_MAX on Linux and macOS, and NTFS's limit
-_NAME_MAX = 255
-# bytes a model file's base64 is written or read in at a time; whole 3-byte groups
-_PIECE = 3 << 16
 
 
 @dataclass
@@ -338,251 +324,6 @@ def _tally(counts: np.ndarray, correct) -> tuple[int, int, float]:
     """(tested, correct, rate) of a confusion row, or of the whole grid; rate 0.0 if none tested."""
     tested, correct = int(counts.sum()), int(correct)
     return tested, correct, correct / tested if tested else 0.0
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Every setting of ``generate_synthetic_dataset``; the ``synth`` flags are its fields."""
-
-    classes: int = 10
-    per_class: int = 20
-    rows: int = 64
-    cols: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        typed_fields(self)
-        if self.classes < 1:
-            raise DataError(f"class count must be >= 1, got {self.classes}")
-        if self.per_class < 1:
-            raise DataError(f"per-class count must be >= 1, got {self.per_class}")
-        if self.rows < 2 or self.cols < 2:
-            raise DataError(f"dims must be at least 2x2, got {(self.rows, self.cols)}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
-
-
-def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> Path:
-    """Write a deterministic paired dataset whose modalities complement each other.
-
-    Each image splits into quadrants: the thermal channel lights the
-    top-left and bottom-right, the visual channel the other two. A class c
-    renders signature c // 2 in its thermal quadrants and c mod m (with
-    m about classes/2) in its visual quadrants, as an amplitude level plus a
-    smooth signature-specific texture. Distinct classes share each
-    single-channel signature with one other class, so one modality alone
-    cannot separate them while the pair identifies the class uniquely, and
-    fused recognition beats either baseline by construction. Per-sample
-    Gaussian noise makes samples within a class distinct.
-    """
-    classes, per_class, rows, cols, seed = cfg.classes, cfg.per_class, cfg.rows, cfg.cols, cfg.seed
-    # The longest names are class<c> and <s>_thermal.pgm, with ids as wide as
-    # the largest one; checked first, so such a count leaves no directory behind.
-    for count, what, rest in ((classes, "class", "class"), (per_class, "per-class", "_thermal.pgm")):
-        if count - 1 >= 10 ** (_NAME_MAX - len(rest)):
-            raise DataError(f"{what} count too large: file names would pass {_NAME_MAX} bytes")
-
-    half_r, half_c = rows // 2, cols // 2
-    t_mask = np.zeros((rows, cols))
-    t_mask[:half_r, :half_c] = 1.0
-    t_mask[half_r:, half_c:] = 1.0
-    v_mask = 1.0 - t_mask
-
-    m = max(2, -(-classes // 2))
-    f_count = (classes - 1) // 2 + 1
-    g_count = min(classes, m)
-
-    def _levels(count):
-        # Narrow spread: gaps stay far above the noise floor while the
-        # fused-image PCA features stay small enough not to saturate the
-        # downstream sigmoid network.
-        return np.array([0.65]) if count == 1 else np.linspace(0.60, 0.70, count)
-
-    def _texture(tag, value):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, tag, value]))
-        rough = rng.standard_normal((rows, cols))
-        smooth = gaussian_filter(rough, sigma=max(2.0, min(rows, cols) / 16.0), mode="wrap")
-        return _TEXTURE_SIGMA * smooth / smooth.std()
-
-    f_amps, g_amps = _levels(f_count), _levels(g_count)
-    f_tex = [_texture(1, v) for v in range(f_count)]
-    g_tex = [_texture(2, v) for v in range(g_count)]
-    # made only now, so a size that fails to allocate leaves no directory behind
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    class_width = max(2, len(str(classes - 1)))
-    id_width = max(2, len(str(per_class - 1)))
-    for c in range(classes):
-        f_val, g_val = c // 2, c % m
-        t_base = (f_amps[f_val] + f_tex[f_val]) * t_mask
-        v_base = (g_amps[g_val] + g_tex[g_val]) * v_mask
-        class_dir = out / f"class{c:0{class_width}d}"
-        class_dir.mkdir(exist_ok=True)
-        for s in range(per_class):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 3, c, s]))
-            t_img = t_base + _NOISE_SIGMA * rng.standard_normal((rows, cols))
-            v_img = v_base + _NOISE_SIGMA * rng.standard_normal((rows, cols))
-            save_image(t_img, class_dir / f"{s:0{id_width}d}_thermal.pgm")
-            save_image(v_img, class_dir / f"{s:0{id_width}d}_visual.pgm")
-    return out
-
-
-def _json_fields(value):
-    """``value`` as a JSON document: a dataclass becomes its fields in order, a list is
-    mapped, an enum becomes its value, and other values stay as they are.
-
-    An array becomes its shape and the array itself as ``f64le``; ``save_model``
-    writes the base64 of its C-order little-endian float64 bytes there, piece
-    by piece (``_write_base64``). A report holds no array.
-    """
-    if is_dataclass(value):
-        return {f.name: _json_fields(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, list):
-        return [_json_fields(item) for item in value]
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, np.ndarray):
-        return {"shape": list(value.shape), "f64le": value}
-    return value
-
-
-def _write_base64(f, values: np.ndarray) -> None:
-    """Write the base64 of ``values``' C-order little-endian float64 bytes to a binary file.
-
-    Every piece but the last covers whole 3-byte groups, so the pieces join
-    to exactly one ``b64encode`` of the bytes. A C-contiguous array is read
-    through its buffer; any other (the trained basis is Fortran-ordered) is
-    copied three rows at a time, which is a whole number of groups.
-    """
-    values = np.asarray(values, dtype="<f8")
-    blocks = ([values] if values.flags.c_contiguous else
-              (np.ascontiguousarray(values[i : i + 3]) for i in range(0, len(values), 3)))
-    for block in blocks:
-        raw = memoryview(block.reshape(-1)).cast("B")  # a view: the block is C-contiguous
-        for start in range(0, len(raw), _PIECE):
-            f.write(binascii.b2a_base64(raw[start : start + _PIECE], newline=False))
-
-
-def _array(name: str, value) -> np.ndarray:
-    """Decode one stored array, a ``{shape, f64le}`` object, piece by piece into its result.
-
-    The buffer is sized from the text, never from the shape, so a shape that
-    claims more than the text holds allocates nothing. Each piece is
-    4-character aligned and only the text's last quantum may hold ``=``, so
-    the pieces are valid exactly when the whole text is.
-    """
-    if not isinstance(value, dict) or set(value) != {"shape", "f64le"}:
-        raise DataError(f"{name} must be a JSON object with keys shape, f64le")
-    shape, text = value["shape"], value["f64le"]
-    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise DataError(f"{name}: shape must be a list of non-negative integers, got {shape!r}")
-    if not isinstance(text, str):
-        raise DataError(f"{name}: f64le must be a base64 string")
-    if text.find("=", 0, len(text) - 4) != -1:  # a piece ending there would decode alone
-        raise DataError(f"{name}: f64le is not valid base64: '=' before the last quantum")
-    buf = bytearray(len(text) // 4 * 3)
-    size, step = 0, _PIECE // 3 * 4
-    for start in range(0, len(text), step):
-        try:
-            piece = base64.b64decode(text[start : start + step], validate=True)
-        except ValueError as exc:
-            raise DataError(f"{name}: f64le is not valid base64: {exc}") from None
-        buf[size : size + len(piece)] = piece
-        size += len(piece)
-    if size != 8 * math.prod(shape):
-        raise DataError(f"{name}: {size} bytes do not hold float64 shape {shape}")
-    return np.frombuffer(buf, "<f8", size // 8).astype(np.float64, copy=False).reshape(shape)
-
-
-def _from_json(kind, value, name: str):
-    """``value``, read from a model file, as a ``kind``: the inverse of ``_json_fields``.
-
-    ``name`` is the value's path in the document, "" for the document itself.
-    A dataclass's keys must be exactly its fields; each field is decoded by
-    its type, then the dataclass is built, so its own checks run. Anything
-    malformed is a DataError naming the field.
-    """
-    where = f"field {name}" if name else "the document"
-    if is_dataclass(kind):
-        keys = [f.name for f in fields(kind)]
-        if not isinstance(value, dict) or set(value) != set(keys):
-            raise DataError(f"{where} must be a JSON object with keys {', '.join(keys)}")
-        hints = field_types(kind)
-        decoded = {key: _from_json(hints[key], value[key], f"{name}.{key}" if name else key)
-                   for key in keys}
-        try:
-            return kind(**decoded)
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}" if name else str(exc)) from exc
-    if kind is np.ndarray:
-        return _array(where, value)
-    if typing.get_origin(kind) is list:
-        if not isinstance(value, list):
-            raise DataError(f"{where} must be a list, got {type(value).__name__}")
-        return [_from_json(typing.get_args(kind)[0], item, f"{name}[{i}]")
-                for i, item in enumerate(value)]
-    return typed(where, kind, value)
-
-
-def save_model(model: PipelineModel, path) -> None:
-    """Persist a model as one JSON document: ``format_version``, then ``_json_fields(model)``.
-
-    Arrays are stored as exact float64 bytes. The document goes to the file as
-    ``json`` encodes it, and each array's base64 is written in pieces straight
-    from the array's buffer (a Fortran-ordered one three rows at a time), so
-    neither the file's text nor a second copy of an array is ever held.
-    """
-    doc = {"format_version": MODEL_FORMAT_VERSION, **_json_fields(model)}
-    # json.dump's chunks, except for the arrays: the encoder calls ``default``
-    # on reaching one and next yields the encoding of what it returned, so
-    # that chunk is the array's place, whatever text the labels hold
-    arrays = []
-
-    def default(value):
-        if not isinstance(value, np.ndarray):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        arrays.append(value)
-        return ""
-
-    with Path(path).open("wb") as f:
-        for chunk in json.JSONEncoder(default=default).iterencode(doc):
-            if arrays:
-                f.write(b'"')
-                _write_base64(f, arrays.pop())
-                f.write(b'"')
-            else:
-                f.write(chunk.encode("ascii"))
-        f.write(b"\n")
-
-
-def load_model(path) -> PipelineModel:
-    """Read a model file of format 3; anything malformed is a DataError naming the file.
-
-    Parsing holds the file's text and the parsed document, about twice the
-    file's size; each array is then decoded piece by piece into the array it
-    becomes. Formats 1 and 2 are rejected: retrain to upgrade.
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    # ValueError: bad bytes, bad syntax or int's digit limit; RecursionError: deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    try:
-        if not isinstance(doc, dict):
-            raise DataError(f"must hold a JSON object, got {type(doc).__name__}")
-        version = doc.pop("format_version", None)
-        if type(version) is not int or version != MODEL_FORMAT_VERSION:
-            raise DataError(
-                f"unsupported model format version {version!r}, expected {MODEL_FORMAT_VERSION}"
-            )
-        return _from_json(PipelineModel, doc, "")
-    except DataError as exc:
-        raise DataError(f"model file {path}: {exc}") from exc
-
-
-def save_report(report: EvaluationReport, path) -> None:
-    Path(path).write_text(json.dumps(_json_fields(report), indent=2) + "\n")
 
 
 def format_report(report: EvaluationReport) -> str:

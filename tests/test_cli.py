@@ -19,9 +19,8 @@ from wavefuse.errors import NumericError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
 from wavefuse.imgio import load_image, save_image
 from wavefuse.mlp import parameter_count
-from wavefuse.pipeline import (
-    PipelineConfig, SynthConfig, generate_synthetic_dataset, ingest_dataset,
-)
+from wavefuse.pipeline import PipelineConfig, ingest_dataset
+from wavefuse.synth import SynthConfig, generate_synthetic_dataset
 from wavefuse.wavelet import WaveletKind
 
 

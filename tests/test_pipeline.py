@@ -13,12 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wavefuse import pipeline
+from wavefuse import pipeline, store
 from wavefuse.eigen import EigenspaceModel, fit_eigenspace, project
 from wavefuse.errors import DataError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
-from wavefuse.mlp import MlpConfig, MlpModel, field_types, parameter_count, predict, train
+from wavefuse.mlp import MlpConfig, MlpModel, parameter_count, predict, train
 from wavefuse.imgio import load_image, save_image
+from wavefuse.settings import field_types
 from wavefuse.wavelet import WaveletKind
 from wavefuse.pipeline import (
     ClassRecord,
@@ -27,16 +28,13 @@ from wavefuse.pipeline import (
     PipelineConfig,
     PipelineModel,
     Sample,
-    SynthConfig,
     evaluate,
     format_report,
-    generate_synthetic_dataset,
     ingest_dataset,
-    load_model,
-    save_model,
-    save_report,
     train_pipeline,
 )
+from wavefuse.store import load_model, save_model, save_report
+from wavefuse.synth import SynthConfig, generate_synthetic_dataset
 
 SMALL_CFG = PipelineConfig(levels=3, epochs=200, hidden=20, seed=0)
 # A small format-3 model file (2 classes x 4 samples at 8x8, db2 at 2 levels,
@@ -582,7 +580,7 @@ class TestPersistence:
 
     def test_report_document_round_trips_through_json(self, small_model):
         model, data = small_model
-        doc = pipeline._json_fields(evaluate(model, data))
+        doc = store._json_fields(evaluate(model, data))
         assert doc == json.loads(json.dumps(doc))
 
     def test_report_keys_are_the_report_fields(self, small_model, tmp_path):
@@ -665,7 +663,7 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         assert list(doc["config"]) == [f.name for f in fields(PipelineConfig)]
         assert list(doc["eigenspace"]) == ["input_dims", "mean", "eigenvalues", "basis"]
-        assert list(pipeline._json_fields(evaluate(model, data))["per_class"][0]) == [
+        assert list(store._json_fields(evaluate(model, data))["per_class"][0]) == [
             "label", "tested", "correct", "rate"
         ]
 
@@ -701,8 +699,8 @@ class TestPersistence:
 
 
 # float64 values in one piece of a model file's base64, and the characters of one piece
-_PIECE_VALUES = pipeline._PIECE // 8
-_PIECE_CHARS = pipeline._PIECE // 3 * 4
+_PIECE_VALUES = store._PIECE // 8
+_PIECE_CHARS = store._PIECE // 3 * 4
 
 
 def _haar_64_model(rng) -> PipelineModel:
@@ -732,9 +730,9 @@ class TestStreamedArrays:
         values = np.asarray(np.random.default_rng(3).standard_normal(shape), order=order)
         text = base64.b64encode(values.tobytes(order="C"))
         written = io.BytesIO()
-        pipeline._write_base64(written, values)
+        store._write_base64(written, values)
         assert written.getvalue() == text
-        loaded = pipeline._array("x", {"shape": list(shape), "f64le": text.decode()})
+        loaded = store._array("x", {"shape": list(shape), "f64le": text.decode()})
         assert loaded.shape == shape and loaded.flags.writeable
         assert loaded.tobytes() == values.tobytes(order="C")
 
@@ -765,7 +763,7 @@ class TestStreamedArrays:
         text = base64.b64encode(np.ones(count).tobytes()).decode()
         text = text[:at] + char + text[at + 1:]
         with pytest.raises(DataError, match="^x: f64le is not valid base64"):
-            pipeline._array("x", {"shape": [count], "f64le": text})
+            store._array("x", {"shape": [count], "f64le": text})
 
     def test_save_model_allocates_under_1_mb_above_the_model(self, tmp_path, traced_peak):
         # 12 MB while the document held each array's base64 as one string
