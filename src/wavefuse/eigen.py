@@ -8,11 +8,10 @@ A^T u and normalize. That keeps the cost O(N^2 D) for N images of D pixels,
 which matters because D is the pixel count.
 
 The fit works in place where it can, so beyond the training data it holds
-little more than the D x k basis and no temporary of that size: a writeable
+little more than the k x D basis and no temporary of that size: a writeable
 C-contiguous (N, rows, cols) float64 array is used as the data matrix
 without a copy and is centred in place, and the basis is normalized and
-sign-flipped in place. (With k = 1 the norm squares its one D-long column
-into a copy.)
+sign-flipped in place, one row at a time.
 """
 
 from __future__ import annotations
@@ -40,8 +39,9 @@ class EigenspaceModel:
         dims = self.input_dims = tuple(self.input_dims)
         if len(dims) != 2 or not all(type(n) is int and n > 0 for n in dims):
             raise DataError(f"input_dims must be two positive integers, got {dims}")
+        # C order whoever builds the model, so a trained model projects like a loaded one
         self.mean, self.eigenvalues, self.basis = (
-            np.asarray(a, dtype=np.float64) for a in (self.mean, self.eigenvalues, self.basis)
+            np.asarray(a, np.float64, "C") for a in (self.mean, self.eigenvalues, self.basis)
         )
         size, k = dims[0] * dims[1], len(self.basis) if self.basis.ndim else 0
         for name, shape in (("basis", (k, size)), ("mean", (size,)), ("eigenvalues", (k,))):
@@ -113,21 +113,14 @@ def fit_eigenspace(images, k=AUTO) -> EigenspaceModel:
                 f"requested {keep} components but data rank is only {rank}"
             )
 
-    basis = stack.T @ evecs[:, :keep]
-    # np.linalg.norm squares the whole basis first. The einsum sums the
-    # squares in the same order without that copy, but only for k >= 2: a
-    # single column is summed pairwise, so k = 1 keeps norm's expression.
-    if keep > 1:
-        basis /= np.sqrt(np.einsum("ij,ij->j", basis, basis))
-    else:
-        basis /= np.linalg.norm(basis, axis=0)
-    basis = basis.T
-    # Sign convention: first entry of largest magnitude made positive, so a
-    # fitted model is reproducible rather than solver-dependent. One row at a
-    # time, as np.abs of the whole basis would be another D x k array.
-    lead = [np.argmax(np.abs(row)) for row in basis]
-    flips = np.where(basis[np.arange(keep), lead] < 0, -1.0, 1.0)
-    basis *= flips[:, None]
+    basis = evecs[:, :keep].T @ stack
+    # Each row normalized, then signed so its first entry of largest magnitude
+    # is positive: a fitted model is reproducible rather than solver-dependent.
+    # One row at a time, as the whole basis squared would be another k x D array.
+    for row in basis:
+        row /= np.sqrt(np.square(row).sum())
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
     return EigenspaceModel(
         input_dims=dims, mean=mean, eigenvalues=evals[:keep], basis=basis
     )

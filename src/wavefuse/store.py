@@ -45,17 +45,12 @@ def _write_base64(f, values: np.ndarray) -> None:
     """Write the base64 of ``values``' C-order little-endian float64 bytes to a binary file.
 
     Every piece but the last covers whole 3-byte groups, so the pieces join
-    to exactly one ``b64encode`` of the bytes. A C-contiguous array is read
-    through its buffer; any other (the trained basis is Fortran-ordered) is
-    copied three rows at a time, which is a whole number of groups.
+    to exactly one ``b64encode`` of the bytes. A model's arrays are all
+    C-contiguous, so they are read through their own buffers, uncopied.
     """
-    values = np.asarray(values, dtype="<f8")
-    blocks = ([values] if values.flags.c_contiguous else
-              (np.ascontiguousarray(values[i : i + 3]) for i in range(0, len(values), 3)))
-    for block in blocks:
-        raw = memoryview(block.reshape(-1)).cast("B")  # a view: the block is C-contiguous
-        for start in range(0, len(raw), _PIECE):
-            f.write(binascii.b2a_base64(raw[start : start + _PIECE], newline=False))
+    raw = memoryview(np.ascontiguousarray(values, dtype="<f8").reshape(-1)).cast("B")
+    for start in range(0, len(raw), _PIECE):
+        f.write(binascii.b2a_base64(raw[start : start + _PIECE], newline=False))
 
 
 def _array(name: str, value) -> np.ndarray:
@@ -124,8 +119,8 @@ def save_model(model: PipelineModel, path) -> None:
 
     Arrays are stored as exact float64 bytes. The document goes to the file as
     ``json`` encodes it, and each array's base64 is written in pieces straight
-    from the array's buffer (a Fortran-ordered one three rows at a time), so
-    neither the file's text nor a second copy of an array is ever held.
+    from the array's buffer, so neither the file's text nor a second copy of
+    an array is ever held.
     """
     doc = {"format_version": MODEL_FORMAT_VERSION, **_json_fields(model)}
     # json.dump's chunks, except for the arrays: the encoder calls ``default``

@@ -59,6 +59,12 @@ class TestFitEigenspace:
     def test_too_few_images_rejected(self):
         with pytest.raises(DataError, match="at least 2"):
             fit_eigenspace([np.ones((4, 4))], k=1)
+        with pytest.raises(DataError, match="no training images"):
+            fit_eigenspace([], k=1)
+
+    def test_k_below_one_rejected(self, random_images):
+        with pytest.raises(DataError, match="component count must be >= 1, got 0"):
+            fit_eigenspace(random_images, k=0)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DataError, match="dims"):
@@ -81,6 +87,11 @@ class TestFitEigenspace:
         np.testing.assert_allclose(model.eigenvalues, evals[:9], atol=1e-8)
         angles = subspace_angles(model.basis.T, evecs[:, :9])
         assert np.max(angles) <= 1e-6
+
+    @pytest.mark.parametrize("k", [1, 3, AUTO])
+    def test_basis_is_c_ordered(self, random_images, k):
+        # the layout a loaded model holds, so both project to the same bits
+        assert fit_eigenspace(random_images, k=k).basis.flags.c_contiguous
 
     def test_sign_convention(self, random_images):
         model = fit_eigenspace(random_images, k=5)
@@ -208,14 +219,14 @@ class TestInPlaceFit:
     @pytest.mark.parametrize("k", [1, 2, 7])
     def test_basis_bitwise_equal_to_whole_basis_expressions(self, k):
         # The reference normalizes with np.linalg.norm over the whole basis and
-        # applies the sign rule to np.abs of the whole basis, each a D x k copy.
+        # applies the sign rule to np.abs of the whole basis, each a k x D copy.
         n = 12
         images = np.random.default_rng(k).random((n, 40, 50))
         basis = fit_eigenspace(images.copy(), k=k).basis
         centred = images.reshape(n, -1) - images.reshape(n, -1).mean(axis=0)
         evals, evecs = np.linalg.eigh((centred @ centred.T) / n)
-        reference = centred.T @ evecs[:, np.argsort(evals)[::-1]][:, :k]
-        reference = (reference / np.linalg.norm(reference, axis=0)).T
+        reference = evecs[:, np.argsort(evals)[::-1]][:, :k].T @ centred
+        reference = reference / np.linalg.norm(reference, axis=1, keepdims=True)
         mags = np.abs(reference)
         lead = np.argmax(mags == mags.max(axis=1, keepdims=True), axis=1)
         reference = reference * np.where(reference[np.arange(k), lead] < 0, -1.0, 1.0)[:, None]
@@ -247,6 +258,12 @@ class TestModelValidation:
         for name in ("mean", "eigenvalues", "basis"):
             assert getattr(model, name).dtype == np.float64
         assert model.k == 3
+
+    def test_fortran_ordered_basis_is_held_c_ordered(self, random_images):
+        fields = self.fields(random_images)
+        model = EigenspaceModel(**{**fields, "basis": np.asfortranarray(fields["basis"])})
+        assert model.basis.flags.c_contiguous
+        assert np.array_equal(model.basis, fields["basis"])
 
     @pytest.mark.parametrize("name, value, match", [
         ("basis", lambda b: np.where(b == b[1, 5], np.nan, b), "basis holds non-finite"),

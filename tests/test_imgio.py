@@ -229,6 +229,16 @@ class TestSaveImage:
         save_image(np.array([[0.5]]), path)
         assert path.read_bytes().endswith(bytes([128]))
 
+    @pytest.mark.parametrize("img, message", [
+        (np.zeros(4), "expected a non-empty 2D image, got shape (4,)"),
+        (np.array([[0.5, np.nan]]), "image contains non-finite pixels"),
+    ], ids=["1-d", "nan"])
+    def test_non_image_rejected_before_writing(self, tmp_path, img, message):
+        path = tmp_path / "out.pgm"
+        with pytest.raises(DataError, match=re.escape(message)):
+            save_image(img, path)
+        assert not path.exists()
+
 
 class TestPadCrop:
     def test_pad_replicates_bottom_right_edges(self):

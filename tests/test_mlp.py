@@ -8,6 +8,7 @@ forward passes.
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,9 @@ class TestForward:
         model = random_model((3, 2), seed=1)
         with pytest.raises(DataError, match="length"):
             forward(model, np.zeros(4))
+        with pytest.raises(DataError, match=re.escape(
+                "target length (3,) does not match output size 2")):
+            loss_and_gradients(model, np.zeros(3), np.zeros(3))
 
 
 def assert_gradients_match_central_differences(sizes, seed):
@@ -342,6 +346,9 @@ class TestTrain:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DataError, match="shape"):
             train(MlpConfig(layer_sizes=(2, 1)), [(np.zeros(3), np.zeros(1))])
+        with pytest.raises(DataError, match=re.escape("sample 1 target shape (2,), expected (1,)")):
+            train(MlpConfig(layer_sizes=(2, 1)), [(np.zeros(2), np.zeros(1)),
+                                                  (np.zeros(2), np.zeros(2))])
 
     @pytest.mark.parametrize("field, bad", [("input", math.nan), ("target", math.inf)])
     def test_non_finite_sample_rejected_before_training(self, field, bad):
@@ -413,6 +420,8 @@ class TestConfigValidation:
         ("learning_rate", "0.1", "learning_rate must be a number, got '0.1'"),
         ("learning_rate", float("nan"), "learning_rate must be finite"),
         ("seed", -1, "seed must be >= 0"),
+        ("layer_sizes", (2, 0), r"layer sizes must be positive, got \(2, 0\)"),
+        ("target_error", -1, "target error must be >= 0, got -1.0"),
     ])
     def test_fields_type_checked_without_truncation(self, field, value, match):
         kwargs = {"layer_sizes": (2, 1), field: value}
@@ -430,6 +439,14 @@ class TestConfigValidation:
                 config=MlpConfig(layer_sizes=(2, 2)),
                 weights=[np.zeros((3, 2))],
                 biases=[np.zeros(3)],
+            )
+
+    def test_non_finite_parameters_rejected(self):
+        with pytest.raises(DataError, match="non-finite parameters in layer 0"):
+            MlpModel(
+                config=MlpConfig(layer_sizes=(2, 2)),
+                weights=[np.array([[0.0, np.nan], [0.0, 0.0]])],
+                biases=[np.zeros(2)],
             )
 
     @pytest.mark.parametrize("layers", [1, 3], ids=["layer-dropped", "layer-added"])

@@ -112,6 +112,12 @@ class TestIngest:
         with pytest.raises(DataError, match="no classes"):
             ingest_dataset(tmp_path)
 
+    def test_file_root_rejected(self, tmp_path):
+        path = tmp_path / "data.pgm"
+        save_image(np.full((8, 8), 0.5), path)
+        with pytest.raises(DataError, match=re.escape(f"dataset root {path} is not a directory")):
+            ingest_dataset(path)
+
 
 def _classes(*sizes) -> Dataset:
     """A dataset of classes with ``sizes`` samples each, as paths alone (no files)."""
@@ -351,6 +357,8 @@ class TestEvaluate:
         report = evaluate(model, data, split="train")
         assert report.split == "train"
         assert report.overall.tested == 12  # 4 classes x 3 training samples
+        with pytest.raises(DataError, match="unknown split 'x', expected 'test' or 'train'"):
+            evaluate(model, data, split="x")
 
     def test_empty_test_split_rejected(self, small_model, tmp_path):
         # 1-sample classes at fraction 0.5 train on every sample (0.5 + 0.5 = 1)
@@ -501,7 +509,7 @@ class TestSynthConfig:
 
 
 class TestPersistence:
-    def test_model_roundtrip_exact(self, small_model, tmp_path):
+    def test_model_roundtrip_exact(self, small_model, tmp_path, monkeypatch):
         model, data = small_model
         path = tmp_path / "m.json"
         save_model(model, path)
@@ -514,6 +522,33 @@ class TestPersistence:
         r1 = evaluate(model, data)
         r2 = evaluate(loaded, data)
         np.testing.assert_array_equal(r1.confusion, r2.confusion)
+
+        cfg = model.config
+
+        def fused(s):
+            return fuse_images(load_image(s.thermal), load_image(s.visual),
+                               cfg.wavelet, cfg.levels, cfg.policy)
+
+        # the trained model and its loaded copy project every image to the same bits
+        for rec in data.classes:
+            for s in rec.samples:
+                image = fused(s)
+                assert (project(model.eigenspace, image).tobytes()
+                        == project(loaded.eigenspace, image).tobytes()), s.name
+        # and training fitted the MLP on exactly the loaded model's projections
+        fitted = []
+
+        def recording_train(config, samples):
+            fitted.extend(x for x, _ in samples)
+            return train(config, samples)
+
+        monkeypatch.setattr(pipeline, "train", recording_train)
+        retrained = train_pipeline(data, cfg)
+        np.testing.assert_array_equal(retrained.eigenspace.basis, model.eigenspace.basis)
+        pairs, _ = data.split(cfg)
+        assert len(fitted) == len(pairs)
+        for x, (_, s) in zip(fitted, pairs):
+            assert x.tobytes() == project(loaded.eigenspace, fused(s)).tobytes(), s.name
 
     def test_model_file_has_version_and_config_echo(self, small_model, tmp_path):
         model, _ = small_model
@@ -603,10 +638,10 @@ class TestPersistence:
         assert format_report(report) + "\n" == pin.with_suffix(".txt").read_text()
 
     def test_trained_model_save_load_save_is_byte_identical(self, small_model, tmp_path):
-        # A trained basis is Fortran-ordered and a loaded one C-ordered; the
-        # model_v3.json pin below covers only the loaded layout.
+        # A trained basis and a loaded one are both C-ordered; the
+        # model_v3.json pin below covers only a loaded model.
         model, _ = small_model
-        assert not model.eigenspace.basis.flags.c_contiguous
+        assert model.eigenspace.basis.flags.c_contiguous
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_model(model, first)
         save_model(load_model(first), second)
@@ -629,6 +664,20 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=re.escape(
                 f"model file {path}: class label '{repeated}' appears more than once")):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["class_labels"].append("class02"),
+         "MLP output size 2 does not match 3 classes"),
+        (lambda doc: doc["eigenspace"].update(_first_component(doc["eigenspace"])),
+         "MLP input size 2 does not match eigenspace size 1"),
+    ], ids=["classes", "eigenspace"])
+    def test_layer_size_that_differs_from_the_model_rejected(self, edit, message, tmp_path):
+        doc = json.loads(MODEL_V3.read_text())
+        edit(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"model file {path}: {message}")):
             load_model(path)
 
     def test_mlp_config_that_differs_from_the_config_rejected(self, tmp_path):
@@ -687,6 +736,7 @@ class TestPersistence:
         ("config", "learning_rate", -1.0, "learning rate must be positive"),
         ("config", "momentum", 1.0, "momentum must lie in [0, 1)"),
         ("config", "seed", -1, "seed must be >= 0"),
+        ("class_labels", 0, 5, "class_labels[0] must be a string, got 5"),
     ])
     def test_malformed_section_names_file_and_field(self, tmp_path, section, key, value, match):
         doc = json.loads(MODEL_V3.read_text())
@@ -698,20 +748,27 @@ class TestPersistence:
         assert match in str(info.value)
 
 
+def _first_component(eigenspace: dict) -> dict:
+    """The stored basis and eigenvalues of a model file's eigenspace cut to k = 1."""
+    cut = {}
+    for name in ("eigenvalues", "basis"):
+        values = store._array(name, eigenspace[name])[:1]
+        cut[name] = {"shape": list(values.shape),
+                     "f64le": base64.b64encode(values.tobytes()).decode()}
+    return cut
+
+
 # float64 values in one piece of a model file's base64, and the characters of one piece
 _PIECE_VALUES = store._PIECE // 8
 _PIECE_CHARS = store._PIECE // 3 * 4
 
 
 def _haar_64_model(rng) -> PipelineModel:
-    """A model of protocol-haar's sizes (64x64, k 95, 100 hidden, 10 classes).
-
-    The basis is Fortran-ordered, as a trained one is.
-    """
+    """A model of protocol-haar's sizes (64x64, k 95, 100 hidden, 10 classes)."""
     cfg = PipelineConfig(wavelet="haar", pca_k=95)
     sizes = (95, 100, 10)
     eigenspace = EigenspaceModel((64, 64), rng.random(4096), rng.random(95),
-                                 np.asfortranarray(rng.standard_normal((95, 4096))))
+                                 rng.standard_normal((95, 4096)))
     net = MlpModel(cfg.mlp_config(sizes),
                    [rng.standard_normal((n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])],
                    [rng.standard_normal(n_out) for n_out in sizes[1:]], 300, 0.01)
@@ -739,7 +796,7 @@ class TestStreamedArrays:
     def test_trained_basis_payload_is_its_c_order_bytes(self, small_model, tmp_path):
         model, _ = small_model
         basis = model.eigenspace.basis
-        assert basis.flags.f_contiguous and not basis.flags.c_contiguous
+        assert basis.flags.c_contiguous
         path = tmp_path / "m.json"
         save_model(model, path)
         stored = json.loads(path.read_text())["eigenspace"]["basis"]
@@ -886,6 +943,7 @@ class TestConfig:
         ("momentum", 1.0, "momentum must lie in"),
         ("epochs", 0, "epochs must be >= 1"),
         ("seed", -1, "seed must be >= 0"),
+        ("hidden", 0, "hidden size must be >= 1, got 0"),
     ])
     def test_out_of_range_values_rejected(self, field, value, match):
         with pytest.raises(DataError, match=re.escape(match)):
