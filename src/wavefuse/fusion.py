@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import DataError
 from .settings import typed_fields
-from .wavelet import DecompositionTree, WaveletKind, decompose, reconstruct
+from .wavelet import (
+    DecompositionTree,
+    WaveletKind,
+    _on_two_threads,
+    _two_threads,
+    decompose,
+    reconstruct,
+)
 
 
 class FusionRule(str, Enum):
@@ -63,19 +70,35 @@ def _select(
 
     Inside the top-left ``opposite`` dims the other rule selects: the two
     differ only in the sign of the magnitude difference, which negates exactly.
+    That block lies in the first half of a tree's rows, so when the two flat
+    halves run on two threads, part 0 negates it.
     """
     x, y = a.reshape(-1).view(np.int64), b.reshape(-1).view(np.int64)
-    m, k = x & _MAGNITUDE, y & _MAGNITUDE
-    if max(m.max(initial=0), k.max(initial=0)) >= _INFINITY:
+    m, k = np.empty_like(x), np.empty_like(x)
+    peaks = [0, 0]
+
+    def select(part: int, xs, ys, ms, ks) -> None:
+        np.bitwise_and(xs, _MAGNITUDE, out=ms)
+        np.bitwise_and(ys, _MAGNITUDE, out=ks)
+        peaks[part] = max(ms.max(initial=0), ks.max(initial=0))
+        np.subtract(ms, ks, out=ks) if rule is FusionRule.MAX_ABS else np.subtract(ks, ms, out=ks)
+        if opposite and part == 0:
+            block = k.reshape(a.shape)[: opposite[0], : opposite[1]]
+            np.negative(block, out=block)
+        ks >>= 63
+        np.bitwise_xor(xs, ys, out=ms)
+        ms &= ks
+        np.bitwise_xor(xs, ms, out=ms)
+
+    if _two_threads(x.size):
+        h = x.size // 2
+        halves = (x[:h], y[:h], m[:h], k[:h]), (x[h:], y[h:], m[h:], k[h:])
+        _on_two_threads(lambda part, wait: select(part, *halves[part]))
+    else:
+        select(0, x, y, m, k)
+    if max(peaks) >= _INFINITY:
         raise DataError("non-finite coefficients")
-    np.subtract(m, k, out=k) if rule is FusionRule.MAX_ABS else np.subtract(k, m, out=k)
-    if opposite:
-        block = k.reshape(a.shape)[: opposite[0], : opposite[1]]
-        np.negative(block, out=block)
-    k >>= 63
-    np.bitwise_xor(x, y, out=m)
-    m &= k
-    return np.bitwise_xor(x, m, out=m).view(np.float64).reshape(a.shape)
+    return m.view(np.float64).reshape(a.shape)
 
 
 def fuse_trees(

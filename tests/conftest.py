@@ -1,8 +1,11 @@
 """Fixtures shared by the test modules."""
 
+import os
 import tracemalloc
 
 import pytest
+
+from wavefuse import wavelet
 
 
 def _traced_peak(fn, *args) -> int:
@@ -21,3 +24,30 @@ def _traced_peak(fn, *args) -> int:
 def traced_peak():
     """``traced_peak(fn, *args)``: the peak bytes of one call, by tracemalloc."""
     return _traced_peak
+
+
+class Splits:
+    """The two-thread path's threshold, forced, and a count of the splits that ran."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        self._monkeypatch = monkeypatch
+        worker = wavelet._worker
+
+        def counted():
+            self.count += 1
+            return worker()
+
+        monkeypatch.setattr(wavelet, "_worker", counted)
+        # two CPUs, so the split runs in a process pinned to one as well
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def at(self, minimum: int | None) -> None:
+        """Split every level and selection of at least ``minimum`` coefficients (None: none)."""
+        self._monkeypatch.setattr(wavelet, "_SPLIT_MIN", 1 << 62 if minimum is None else minimum)
+
+
+@pytest.fixture()
+def splits(monkeypatch):
+    """A :class:`Splits`: ``splits.at(n)`` forces the threshold, ``splits.count`` counts."""
+    return Splits(monkeypatch)

@@ -3,17 +3,21 @@
 import ctypes
 import hashlib
 import json
+import os
 import platform
 import resource
 import shutil
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavefuse import cli, pipeline
+from wavefuse import cli, pipeline, wavelet
 from wavefuse.cli import main
 from wavefuse.errors import NumericError
 from wavefuse.fusion import FusionPolicy, FusionRule, fuse_images
@@ -169,6 +173,79 @@ class TestFuseBytes:
         assert main(argv) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == json.loads(FUSE_DIGESTS.read_text())[case]
+
+
+class TestTwoThreadFuse:
+    """The pinned 509x509 fuse with its large levels and selection on two threads."""
+
+    @pytest.fixture()
+    def pinned(self, splits, tmp_path, capsys):
+        """A call that fuses the pinned db2-509x509-default pair by the CLI and
+        says whether the bytes match; its two images are ``pinned.images``."""
+        data = generate_synthetic_dataset(
+            SynthConfig(1, 1, rows=509, cols=509, seed=0), tmp_path / "data") / "class00"
+        thermal, visual = data / "00_thermal.pgm", data / "00_visual.pgm"
+        digest = json.loads(FUSE_DIGESTS.read_text())["db2-509x509-default"]
+        splits.at(1 << 16)
+
+        def fuse_pinned() -> bool:
+            out = tmp_path / "fused.pgm"
+            assert main(_fuse_argv(thermal, visual, out)) == 0
+            return hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+        fuse_pinned.images = load_image(thermal), load_image(visual)
+        return fuse_pinned
+
+    @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_part_raises_its_error(self, pinned, splits, monkeypatch, error, failing):
+        product = wavelet._product
+
+        def failing_product(*args):
+            if (threading.current_thread().name == "wavefuse-split") == (failing == "worker"):
+                raise error(f"{failing} part")
+            return product(*args)
+
+        monkeypatch.setattr(wavelet, "_product", failing_product)
+        raised = []
+
+        def fuse():
+            try:
+                fuse_images(*pinned.images)
+            except BaseException as exc:
+                raised.append(exc)
+
+        # the caller's part runs on a thread of the test's, so a hang fails the
+        # test, and a daemon one, so it does not hold the test process open
+        caller = threading.Thread(target=fuse, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive(), "the split hung"
+        assert [type(exc) for exc in raised] == [error]
+        assert str(raised[0]) == f"{failing} part"
+        monkeypatch.setattr(wavelet, "_product", product)
+        assert pinned()
+        assert splits.count == 1 + 7
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_fuses_on_a_worker_of_its_own(self, pinned, splits):
+        assert pinned()  # starts this process's worker
+        assert splits.count == 7
+        pid = os.fork()
+        if pid == 0:  # the child: fuse once more, split, and report by exit code
+            code = 2
+            try:
+                code = 0 if pinned() and splits.count == 14 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if ended[0] == 0:  # leave no process running
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert ended[0] == pid, "the forked child's fuse hung"
+        assert os.waitstatus_to_exitcode(ended[1]) == 0
 
 
 def _no_libc(name):

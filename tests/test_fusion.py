@@ -7,12 +7,22 @@ any array shape or tree bookkeeping.
 
 import itertools
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from wavefuse.errors import DataError
-from wavefuse.fusion import FusionPolicy, FusionRule, fuse_coeffs, fuse_images, fuse_trees
+from wavefuse.fusion import (
+    FusionPolicy,
+    FusionRule,
+    _select,
+    fuse_coeffs,
+    fuse_images,
+    fuse_trees,
+)
 from wavefuse.imgio import load_image, save_image
 from wavefuse.wavelet import DecompositionTree, WaveletKind, _operator, decompose
 
@@ -252,6 +262,53 @@ class TestOneSelectionPass:
                 fuse_trees(*pair, FusionPolicy(approx_rule, detail_rule))
 
 
+def tie_pair(shape):
+    """Two grids whose magnitudes tie often: equal, negated, and 0.0 against -0.0."""
+    rng = np.random.default_rng(53)
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
+    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+    flat_b[::5] = -flat_a[::5]
+    flat_b[1::7] = flat_a[1::7]
+    flat_a[2::11], flat_b[2::11] = 0.0, -0.0
+    flat_a[3::13], flat_b[3::13] = -0.0, 0.0
+    return a, b
+
+
+class TestTwoThreadSelection:
+    """A selection over at least 2^17 coefficients runs its two flat halves on two threads.
+
+    The threshold is forced to 2^16, so a 256x256 grid splits exactly.
+    """
+
+    @pytest.mark.parametrize("shape, opposite", [
+        ((256, 256), None), ((256, 256), (128, 100)), ((2, 32769), None), ((2, 32769), (1, 999)),
+    ], ids=["2^16", "2^16-opposite", "2^16+2", "2^16+2-opposite"])
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    def test_split_selection_is_bitwise_one_thread(self, splits, shape, opposite, rule):
+        a, b = tie_pair(shape)
+        splits.at(None)
+        expected = fuse_coeffs(a, b, rule)
+        if opposite:
+            other = FusionRule.MIN_ABS if rule is FusionRule.MAX_ABS else FusionRule.MAX_ABS
+            block = (slice(opposite[0]), slice(opposite[1]))
+            expected[block] = fuse_coeffs(a[block], b[block], other)
+        splits.at(1 << 16)
+        got = _select(a, b, rule, opposite)
+        assert splits.count == 1
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("where", [0, 65537], ids=["first-half", "second-half"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_in_either_half_is_data_error(self, splits, where, bad):
+        a, b = tie_pair((2, 32769))
+        b.reshape(-1)[where] = bad
+        splits.at(1 << 16)
+        with pytest.raises(DataError, match="non-finite coefficients"):
+            _select(a, b, FusionRule.MIN_ABS, (1, 999))
+        assert splits.count == 1
+
+
 class TestFuseImages:
     @pytest.mark.parametrize("approx_rule", ALL_RULES)
     @pytest.mark.parametrize("detail_rule", ALL_RULES)
@@ -299,6 +356,52 @@ class TestFuseImages:
         fuse_images(np.ones((64, 64)), np.zeros((64, 64)), WaveletKind.DB2, 5)
         assert _operator.cache_info().currsize == 5
 
+    def test_one_cached_operator_per_length_split(self, splits):
+        # lengths 512 ... 32: the calling thread looks up the operators of the
+        # levels split across two threads as well
+        splits.at(1 << 16)
+        _operator.cache_clear()
+        fuse_images(np.ones((509, 509)), np.zeros((509, 509)), WaveletKind.DB2, 5)
+        assert splits.count == 7  # two levels in each of three sweeps, and the selection
+        assert _operator.cache_info().currsize == 5
+
+    def test_default_threshold_splits_the_large_fuse_only(self, splits):
+        fuse_images(np.ones((509, 509)), np.zeros((509, 509)), WaveletKind.DB2, 5)
+        assert splits.count == 4  # the 512 level of each of three sweeps, and the selection
+        # the paper's 320x240 frames run on one thread: a split there was slower
+        fuse_images(np.ones((240, 320)), np.zeros((240, 320)), WaveletKind.DB2, 5)
+        assert splits.count == 4
+
+
+class TestConcurrentCallers:
+    def test_callers_on_four_threads_share_the_worker(self, splits):
+        # more calling threads than cores, switching as often as the interpreter
+        # allows: every fuse must still give its own pair's one-thread bytes
+        pairs = [np.random.default_rng(59 + i).random((2, 256, 256)) for i in range(4)]
+        splits.at(None)
+        expected = [fuse_images(t, v, WaveletKind.DB2, 3).tobytes() for t, v in pairs]
+        splits.at(1 << 16)
+        results = [[] for _ in pairs]
+
+        def fuse(i):
+            for _ in range(5):
+                results[i].append(fuse_images(*pairs[i], WaveletKind.DB2, 3).tobytes())
+
+        callers = [threading.Thread(target=fuse, args=(i,), daemon=True) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            deadline = time.monotonic() + 60
+            for caller in callers:
+                caller.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [[want] * 5 for want in expected]
+        assert splits.count > 0
+
 
 class TestFusePathMemory:
     """Peaks of one 509x509 fuse's steps, in images of 509 x 509 float64s.
@@ -307,7 +410,9 @@ class TestFusePathMemory:
     sweep holds its tree and two block-sized products, so the second
     decomposition, next to the first tree, peaks at 4 padded images. So does
     the inverse sweep: the fused tree, its copy and two products. Keeping
-    both input trees alive through it would peak at 6.
+    both input trees alive through it would peak at 6. tracemalloc counts
+    every thread's allocations, so the bound holds for the levels and the
+    selection split across two threads too: the worker allocates no array.
     """
 
     IMAGE = 509 * 509 * 8

@@ -9,6 +9,7 @@ mismatch against linear algebra done a completely different way.
 
 import json
 import math
+import os
 import re
 import time
 
@@ -23,7 +24,9 @@ from wavefuse.wavelet import (
     WaveletKind,
     _operator,
     _product,
+    _sweep,
     _transpose_into,
+    _two_threads,
     decompose,
     export_tree,
     filter_bank,
@@ -278,6 +281,74 @@ class TestProduct:
         with pytest.raises(ValueError, match="product dims"):
             _product(_sparsetools.csr_matvecs, _operator(WaveletKind.DB2, 8), np.ones(x_dims),
                      np.ones(out_dims))
+
+
+class TestTwoThreadSweep:
+    """A level of at least 2^17 coefficients runs on two threads, bit for bit.
+
+    The threshold is forced, to 2^16, where a 256x256 level splits exactly, or
+    to 1, where every level does.
+    """
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("levels", [1, 3, 5])
+    @pytest.mark.parametrize("dims", [(256, 256), (128, 512), (240, 320), (600, 392), (509, 509)],
+                             ids=["256x256", "128x512", "240x320", "600x392", "509x509"])
+    @pytest.mark.parametrize("minimum", [1 << 16, 1], ids=["large-levels", "every-level"])
+    def test_split_sweep_is_bitwise_one_thread(self, splits, kind, levels, dims, minimum):
+        img = np.random.default_rng(29).random(dims)
+        splits.at(None)
+        tree = decompose(img, kind, levels)
+        out = reconstruct(tree)
+        assert splits.count == 0
+        splits.at(minimum)
+        split_tree = decompose(img, kind, levels)
+        assert split_tree.coeffs.tobytes() == tree.coeffs.tobytes()
+        assert reconstruct(split_tree).tobytes() == out.tobytes()
+        # every case's first level splits, in both directions
+        assert splits.count >= 2
+
+    @pytest.mark.parametrize("dims", [(512, 512), (509, 509)], ids=["unpadded", "padded"])
+    def test_fortran_ordered_image_gives_the_c_order_tree(self, splits, dims):
+        # np.pad keeps a Fortran-ordered image's order, and a split first level
+        # uses the tree's own memory as a flat buffer
+        img = np.random.default_rng(31).random(dims)
+        splits.at(1 << 16)
+        tree = decompose(np.asfortranarray(img), WaveletKind.DB2, 5)
+        assert tree.coeffs.flags.c_contiguous
+        assert tree.coeffs.tobytes() == decompose(img, WaveletKind.DB2, 5).coeffs.tobytes()
+
+    def test_sweep_rejects_a_fortran_ordered_array(self):
+        coeffs = np.asfortranarray(np.random.default_rng(37).random((8, 8)))
+        with pytest.raises(ValueError, match="C-ordered"):
+            _sweep(coeffs, WaveletKind.HAAR, 1, synthesis=False)
+
+
+class TestOneCpuFallback:
+    """Work splits only where the process may run on two CPUs."""
+
+    @pytest.mark.parametrize("cpus, expected", [({0}, False), ({3}, False), ({0, 1}, True),
+                                                ({0, 1, 2, 3}, True)])
+    def test_affinity_decides(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert _two_threads(1 << 17) is expected
+        assert _two_threads((1 << 17) - 1) is False
+
+    @pytest.mark.parametrize("count, expected", [(None, False), (1, False), (2, True)])
+    def test_cpu_count_decides_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _two_threads(1 << 18) is expected
+
+    def test_pinned_sweep_runs_on_one_thread(self, splits, monkeypatch):
+        img = np.random.default_rng(41).random((509, 509))
+        splits.at(1 << 16)
+        split_tree = decompose(img, WaveletKind.DB2, 5)
+        assert splits.count == 2  # the 512 and 256 levels
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        tree = decompose(img, WaveletKind.DB2, 5)
+        assert splits.count == 2
+        assert tree.coeffs.tobytes() == split_tree.coeffs.tobytes()
 
 
 class TestDecomposeReconstruct:
