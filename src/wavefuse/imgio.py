@@ -117,14 +117,23 @@ def save_image(img: np.ndarray, path) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise DataError(f"expected a non-empty 2D image, got shape {img.shape}")
+    _write_pgm(img, path)
+
+
+def _write_pgm(img: np.ndarray, path, out: np.ndarray | None = None) -> None:
+    """Write a non-empty 2D float64 image as :func:`save_image` says.
+
+    The levels are computed in ``out``, which may be ``img`` itself, or in
+    a new array when it is None: the image clamped, times 255, plus 0.5.
+    Each level then lies in [0.5, 255.5], where the cast to uint8 truncates
+    exactly as floor does, so the cast rounds half-up.
+    """
     if not np.all(np.isfinite(img)):
         raise DataError("image contains non-finite pixels")
     rows, cols = img.shape
-    # one float buffer, scaled and rounded in place
-    levels = np.clip(img, 0.0, 1.0)
+    levels = np.clip(img, 0.0, 1.0, out=out)
     levels *= 255.0
     levels += 0.5
-    np.floor(levels, out=levels)
     with open(path, "wb") as f:
         f.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         f.write(levels.astype(np.uint8, order="C"))

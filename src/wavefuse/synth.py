@@ -1,4 +1,14 @@
-"""A deterministic synthetic paired dataset whose two modalities complement each other."""
+"""A deterministic synthetic paired dataset whose two modalities complement each other.
+
+Every sample draws its noise from a generator of its own, so where the
+process may use two CPUs each class's samples run as two parts on
+``wavelet._on_two_threads``: the calling thread writes the even samples, the
+worker the odd ones, and every file's bytes are the one-thread bytes. The
+class signatures are made first, on the calling thread; they set the peak
+memory. Each part then owns one image buffer, made before the split, and
+allocates only per-file temporaries smaller than an image: the ``isfinite``
+mask and the uint8 raster.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +19,9 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DataError
-from .imgio import save_image
+from .imgio import _write_pgm
 from .settings import typed_fields
+from .wavelet import _on_two_threads, _two_cpus
 
 _NOISE_SIGMA = 0.02
 _TEXTURE_SIGMA = 0.02
@@ -60,12 +71,6 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> Path:
         if count - 1 >= 10 ** (_NAME_MAX - len(rest)):
             raise DataError(f"{what} count too large: file names would pass {_NAME_MAX} bytes")
 
-    half_r, half_c = rows // 2, cols // 2
-    t_mask = np.zeros((rows, cols))
-    t_mask[:half_r, :half_c] = 1.0
-    t_mask[half_r:, half_c:] = 1.0
-    v_mask = 1.0 - t_mask
-
     m = max(2, -(-classes // 2))
     f_count = (classes - 1) // 2 + 1
     g_count = min(classes, m)
@@ -76,31 +81,50 @@ def generate_synthetic_dataset(cfg: SynthConfig, out_dir) -> Path:
         # downstream sigmoid network.
         return np.array([0.65]) if count == 1 else np.linspace(0.60, 0.70, count)
 
-    def _texture(tag, value):
+    def _signature(tag, value, level, unlit):
+        # a level plus a smooth texture where the modality is lit, 0 elsewhere;
+        # added and zeroed in place, it holds the bits (level + texture) * mask did
         rng = np.random.default_rng(np.random.SeedSequence([seed, tag, value]))
         rough = rng.standard_normal((rows, cols))
         smooth = gaussian_filter(rough, sigma=max(2.0, min(rows, cols) / 16.0), mode="wrap")
-        return _TEXTURE_SIGMA * smooth / smooth.std()
+        signature = _TEXTURE_SIGMA * smooth / smooth.std()
+        signature += level
+        for quadrant in unlit:
+            signature[quadrant] = 0.0
+        return signature
 
-    f_amps, g_amps = _levels(f_count), _levels(g_count)
-    f_tex = [_texture(1, v) for v in range(f_count)]
-    g_tex = [_texture(2, v) for v in range(g_count)]
+    # thermal lights the top-left and bottom-right quadrants, visual the other two
+    half_r, half_c = rows // 2, cols // 2
+    t_lit = np.s_[:half_r, :half_c], np.s_[half_r:, half_c:]
+    v_lit = np.s_[:half_r, half_c:], np.s_[half_r:, :half_c]
+    # made before any sample: this phase sets the peak memory, so no split adds to it
+    f_sig = [_signature(1, v, level, v_lit) for v, level in enumerate(_levels(f_count))]
+    g_sig = [_signature(2, v, level, t_lit) for v, level in enumerate(_levels(g_count))]
+    split = per_class >= 2 and _two_cpus()
+    buffers = np.empty((2 if split else 1, rows, cols))
     # made only now, so a size that fails to allocate leaves no directory behind
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
     class_width = max(2, len(str(classes - 1)))
     id_width = max(2, len(str(per_class - 1)))
+
+    def samples(class_dir, c: int, k: int, step: int) -> None:
+        # samples k, k + step, ... in buffer k, each from its own generator, so a
+        # split changes no byte; sigma * noise + signature rounds as it always did
+        buf, signatures = buffers[k], (f_sig[c // 2], g_sig[c % m])
+        for s in range(k, per_class, step):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 3, c, s]))
+            for modality, signature in zip(("thermal", "visual"), signatures):
+                rng.standard_normal(out=buf)
+                buf *= _NOISE_SIGMA
+                buf += signature
+                _write_pgm(buf, class_dir / f"{s:0{id_width}d}_{modality}.pgm", out=buf)
+
     for c in range(classes):
-        f_val, g_val = c // 2, c % m
-        t_base = (f_amps[f_val] + f_tex[f_val]) * t_mask
-        v_base = (g_amps[g_val] + g_tex[g_val]) * v_mask
         class_dir = out / f"class{c:0{class_width}d}"
         class_dir.mkdir(exist_ok=True)
-        for s in range(per_class):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 3, c, s]))
-            t_img = t_base + _NOISE_SIGMA * rng.standard_normal((rows, cols))
-            v_img = v_base + _NOISE_SIGMA * rng.standard_normal((rows, cols))
-            save_image(t_img, class_dir / f"{s:0{id_width}d}_thermal.pgm")
-            save_image(v_img, class_dir / f"{s:0{id_width}d}_visual.pgm")
+        if split:
+            _on_two_threads(lambda k, wait: samples(class_dir, c, k, 2))
+        else:
+            samples(class_dir, c, 0, 1)
     return out

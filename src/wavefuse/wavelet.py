@@ -149,16 +149,19 @@ def _product(kernel, a: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np
 _SPLIT_MIN = 1 << 17
 
 
-def _two_threads(size: int) -> bool:
-    """Whether work on ``size`` coefficients splits across two threads.
+def _two_cpus() -> bool:
+    """Whether the process may run on two CPUs, so that work may split across two threads.
 
-    Only where the process may run on two CPUs: pinned to one, a 509x509
-    fuse split across two threads took 12.6 ms against 11.9 ms on one.
+    Pinned to one, a 509x509 fuse split across two threads took 12.6 ms
+    against 11.9 ms on one.
     """
-    if size < _SPLIT_MIN:
-        return False
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS
     return (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2
+
+
+def _two_threads(size: int) -> bool:
+    """Whether work on ``size`` coefficients splits across two threads."""
+    return size >= _SPLIT_MIN and _two_cpus()
 
 
 @functools.cache
@@ -191,7 +194,12 @@ def _on_two_threads(part) -> None:
     stops at its next ``wait`` instead of hanging there. Both parts are
     joined before the failure is raised, never the other part's
     BrokenBarrierError. The worker must call nothing that is traced or
-    cached, only kernels and copies on what this thread looked up.
+    cached, and allocate no image-sized array: its allocations land in an
+    arena of its own, which the CLI's allocator settings keep mapped. A
+    fuse's part runs only kernels and copies on what this thread looked up;
+    a synth part draws noise and writes files, and makes only per-file
+    temporaries smaller than an image (the ``isfinite`` mask and the uint8
+    raster).
     """
     barrier, joined = threading.Barrier(2), threading.Lock()
     errors: list[BaseException | None] = [None, None]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from wavefuse import wavelet
+from wavefuse import synth, wavelet
 
 
 def _traced_peak(fn, *args) -> int:
@@ -27,7 +27,7 @@ def traced_peak():
 
 
 class Splits:
-    """The two-thread path's threshold, forced, and a count of the splits that ran."""
+    """The two-thread paths' checks, forced, and a count of the splits that ran."""
 
     def __init__(self, monkeypatch):
         self.count = 0
@@ -46,8 +46,13 @@ class Splits:
         """Split every level and selection of at least ``minimum`` coefficients (None: none)."""
         self._monkeypatch.setattr(wavelet, "_SPLIT_MIN", 1 << 62 if minimum is None else minimum)
 
+    def synth(self, split: bool) -> None:
+        """Split every class of two or more samples (True) or none (False) in synth."""
+        self._monkeypatch.setattr(synth, "_two_cpus", lambda: split)
+
 
 @pytest.fixture()
 def splits(monkeypatch):
-    """A :class:`Splits`: ``splits.at(n)`` forces the threshold, ``splits.count`` counts."""
+    """A :class:`Splits`: ``splits.at(n)`` forces the threshold, ``splits.synth(b)`` synth's
+    CPU check, ``splits.count`` counts."""
     return Splits(monkeypatch)

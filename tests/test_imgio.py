@@ -229,6 +229,21 @@ class TestSaveImage:
         save_image(np.array([[0.5]]), path)
         assert path.read_bytes().endswith(bytes([128]))
 
+    def test_cast_rounds_as_floor_did(self, tmp_path):
+        # every boundary (k + 0.5) / 255 and its 1-ulp neighbours, 0, 1 and
+        # values outside [0, 1]: the cast alone gives the floor rule's bytes
+        edges = (np.arange(256) + 0.5) / 255.0
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0), -1e300, 1e300,
+             -0.5, 1.5], np.random.default_rng(13).uniform(-0.1, 1.1, 4096),
+        ])
+        img = values.reshape(1, -1)
+        path = tmp_path / "out.pgm"
+        save_image(img, path)
+        floored = np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        assert path.read_bytes() == f"P5\n{img.size} 1\n255\n".encode() + floored.tobytes()
+
     @pytest.mark.parametrize("img, message", [
         (np.zeros(4), "expected a non-empty 2D image, got shape (4,)"),
         (np.array([[0.5, np.nan]]), "image contains non-finite pixels"),

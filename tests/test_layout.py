@@ -21,7 +21,7 @@ IMPORTS = {
     "wavelet": {"errors", "imgio"},
     "fusion": {"errors", "settings", "wavelet"},
     "pipeline": {"errors", "settings", "imgio", "wavelet", "fusion", "eigen", "mlp"},
-    "synth": {"errors", "settings", "imgio"},
+    "synth": {"errors", "settings", "imgio", "wavelet"},
     "store": {"errors", "settings", "pipeline"},
     "cli": {"errors", "settings", "imgio", "wavelet", "fusion", "pipeline", "synth", "store"},
     "__init__": {"errors", "settings", "imgio", "wavelet", "fusion", "eigen", "mlp", "pipeline",
