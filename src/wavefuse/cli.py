@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_args(p, PipelineConfig, ["split_fraction", "wavelet", "levels", "approx_rule",
                                          "detail_rule", "pca_k", "hidden", "learning_rate",
                                          "momentum", "epochs", "seed"])
-    p.add_argument("--model", required=True, help="output model JSON path")
+    p.add_argument("--model", required=True, help="output model file path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained model on a dataset's test split")

@@ -2,7 +2,8 @@
 
 A dataset is a directory of class subdirectories, each holding PGM pairs
 named ``<id>_thermal.pgm`` and ``<id>_visual.pgm``. Ingesting it only pairs
-the file names, and a run's config draws the split (``Dataset.split``).
+the file names. Training draws the split from its config (``Dataset.split``)
+and the model records the samples it trained on; evaluation tests the rest.
 Pixels are read where an image is used: training reads the training pairs,
 evaluation the test images of the modality it scores. Training fuses every
 training pair, fits an eigenface basis on the fused images, projects them,
@@ -122,12 +123,13 @@ class PipelineConfig:
 
 @dataclass
 class PipelineModel:
-    """Everything a recognition run needs: fusion config, eigenspace, MLP."""
+    """Everything a recognition run needs: config, eigenspace, MLP, and what it trained on."""
 
     config: PipelineConfig
     class_labels: list[str]
     eigenspace: EigenspaceModel
     mlp: MlpModel
+    trained: list[str]  # the ``class/id`` names of the training samples, in split order
 
     def __post_init__(self):
         seen = set()
@@ -268,7 +270,7 @@ def train_pipeline(data: Dataset, cfg: PipelineConfig | None = None) -> Pipeline
     net = train(
         cfg.mlp_config((eigenspace.k, cfg.hidden, len(labels))), list(zip(features, targets))
     )
-    return PipelineModel(config=cfg, class_labels=labels, eigenspace=eigenspace, mlp=net)
+    return PipelineModel(cfg, labels, eigenspace, net, [s.name for _, s in pairs])
 
 
 def evaluate(
@@ -276,10 +278,13 @@ def evaluate(
 ) -> EvaluationReport:
     """Score one split of a dataset against a trained model.
 
+    The test split is every present sample the model did not train on, by
+    its ``class/id`` name in ``model.trained``; ``split="train"`` scores the
+    present samples it did train on, as a sanity run. No split is drawn
+    here, so a pair added or removed after training moves no sample across.
     ``modality`` picks the image each sample is scored on: the fused pair, or
     one sensor's own image as a single-sensor baseline for the same model.
-    ``split`` may be ``"train"`` for a sanity run on the training samples;
-    the report labels the mode either way.
+    The report labels both.
     """
     if modality not in MODALITIES:
         raise DataError(f"unknown modality {modality!r}, expected one of {MODALITIES}")
@@ -295,7 +300,9 @@ def evaluate(
         if label not in present:
             raise DataError(f"model class {label} is missing from the dataset")
     confusion = np.zeros((len(index), len(index)), dtype=int)
-    for di, s in data.split(model.config)[("train", "test").index(split)]:
+    trained = set(model.trained)
+    for label, s in [(rec.label, s) for rec in data.classes for s in rec.samples
+                     if (s.name in trained) == (split == "train")]:
         img = _image(model.config, s, modality)
         if img.shape != model.eigenspace.input_dims:
             raise DataError(
@@ -303,7 +310,7 @@ def evaluate(
                 f"model {model.eigenspace.input_dims}"
             )
         predicted, _ = predict(model.mlp, project(model.eigenspace, img))
-        confusion[index[data.classes[di].label], predicted] += 1
+        confusion[index[label], predicted] += 1
     overall = Tally(*_tally(confusion, np.trace(confusion)))
     if overall.tested == 0:
         raise DataError(f"{split} split is empty")

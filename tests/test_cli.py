@@ -338,6 +338,12 @@ def model_path(dataset):
     return path
 
 
+def _model_file(path) -> tuple[dict, bytes]:
+    """A model file's header document and the payload after its line."""
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), payload
+
+
 def mixed_dims_dataset(tmp_path):
     """A 2-class set whose class00 images are 16x16 and class01 images 20x16.
 
@@ -354,23 +360,9 @@ def mixed_dims_dataset(tmp_path):
 
 class TestTrainEvaluate:
     def test_train_writes_model_and_summary(self, model_path, capsys):
-        doc = json.loads(model_path.read_text())
-        assert doc["format_version"] == 3
+        doc, _ = _model_file(model_path)
+        assert doc["format_version"] == 4
         assert len(doc["class_labels"]) == 3
-
-    def test_format_2_model_file_is_rejected(self, dataset, model_path, tmp_path, capsys):
-        doc = json.loads(model_path.read_text())
-        # format 2's mlp section: layer_sizes and activation in place of config
-        mlp = doc["mlp"]
-        doc["format_version"] = 2
-        doc["mlp"] = {"layer_sizes": mlp.pop("config")["layer_sizes"], "activation": "sigmoid",
-                      **mlp}
-        model = tmp_path / "v2.json"
-        model.write_text(json.dumps(doc))
-        assert main(["evaluate", "--data", str(dataset), "--model", str(model),
-                     "--report", str(tmp_path / "r.json")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: model file {model}: unsupported model format version 2, expected 3\n")
 
     def test_evaluate_writes_report(self, dataset, model_path, capsys):
         report = dataset.parent / "report.json"
@@ -411,10 +403,10 @@ class TestTrainEvaluate:
         assert reads == []
 
     def test_repeated_class_label_is_data_error(self, dataset, model_path, tmp_path, capsys):
-        doc = json.loads(model_path.read_text())
+        doc, payload = _model_file(model_path)
         doc["class_labels"] = ["class00", "class00", "class02"]
-        model = tmp_path / "repeated.json"
-        model.write_text(json.dumps(doc))
+        model = tmp_path / "repeated.bin"
+        model.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
         assert main(["evaluate", "--data", str(dataset), "--model", str(model),
                      "--report", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == (
@@ -429,20 +421,21 @@ class TestTrainEvaluate:
                                                          capsys):
         # int() refuses strings of more than 4,300 digits, so json.loads raises
         # a ValueError that is not a JSONDecodeError
-        text = model_path.read_text()
-        assert '"seed": 0' in text
-        model = tmp_path / "long-seed.json"
-        model.write_text(text.replace('"seed": 0', '"seed": ' + "1" * 5001, 1))
+        header, payload = model_path.read_bytes().split(b"\n", 1)
+        assert b'"seed": 0' in header
+        model = tmp_path / "long-seed.bin"
+        model.write_bytes(header.replace(b'"seed": 0', b'"seed": ' + b"1" * 5001, 1)
+                          + b"\n" + payload)
         capsys.readouterr()
         assert main(["evaluate", "--data", str(dataset), "--model", str(model),
                      "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: model file {model} is not valid JSON: ")
+        assert err.startswith(f"error: model file {model}: header line is not valid JSON: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_object_model_file_is_data_error(self, dataset, tmp_path, capsys):
-        model = tmp_path / "list.json"
-        model.write_text("[1, 2]")
+        model = tmp_path / "list.bin"
+        model.write_text("[1, 2]\n")
         assert main(["evaluate", "--data", str(dataset), "--model", str(model),
                      "--report", str(tmp_path / "r.json")]) == 2
         assert "JSON object" in capsys.readouterr().err
@@ -453,13 +446,13 @@ class TestTrainEvaluate:
     ])
     def test_malformed_model_file_names_file_and_field(self, dataset, model_path, tmp_path,
                                                        capsys, field, value):
-        doc = json.loads(model_path.read_text())
+        doc, payload = _model_file(model_path)
         if field == "config":
             doc["config"] = value
         else:
             doc["config"][field] = value
-        model = tmp_path / "bad.json"
-        model.write_text(json.dumps(doc))
+        model = tmp_path / "bad.bin"
+        model.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
         assert main(["evaluate", "--data", str(dataset), "--model", str(model),
                      "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
@@ -629,7 +622,7 @@ options:
   --momentum MOMENTUM
   --epochs EPOCHS
   --seed SEED
-  --model MODEL         output model JSON path
+  --model MODEL         output model file path
 """
 
 _FUSE_OPTIONS = """\
